@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify ci build vet test race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cluster-smoke cluster-bench cover bench bench-smoke bench-sweep bench-diff
+.PHONY: verify ci build vet test race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cluster-smoke cluster-bench cover bench bench-smoke bench-sweep bench-diff bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
 # request: tier-1 (build + test) plus vet, the race detector across every
@@ -108,6 +108,14 @@ bench-smoke:
 # PERFORMANCE.md for the current numbers.
 bench-sweep:
 	$(GO) run ./cmd/bench -sweep
+
+# bench-serve runs the rbcastd serving benchmark (bench/, defined by
+# BENCHMARK.json) over all five workloads at seed 1. It exits 1 on any
+# wrong response body, so it doubles as an end-to-end correctness run of
+# the serving path; its timings are reported, not gated. Set
+# BENCH_SERVE_REPORT to a file path to also keep the full JSON report.
+bench-serve:
+	bash bench/run.sh --seed 1 $(if $(BENCH_SERVE_REPORT),--report "$(BENCH_SERVE_REPORT)")
 
 # bench-diff runs the full suite and fails on a >10% allocation regression
 # against the committed baseline (testdata/bench_baseline.json).

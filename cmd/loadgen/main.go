@@ -349,6 +349,25 @@ func phaseBusyShed(ctx context.Context, noRetry, retrying *client.Client) {
 		slowDone <- err
 	}()
 
+	// Wait until the slow run holds the execution slot. A probe sent
+	// before it arrives would take the slot itself and shed the slow run
+	// instead, leaving nothing in flight for the probes to be shed by.
+	for {
+		select {
+		case err := <-slowDone:
+			log.Fatalf("FAIL: slow run ended before it was seen in flight: %v", err)
+		default:
+		}
+		text, err := noRetry.Metrics(ctx)
+		if err != nil {
+			log.Fatalf("FAIL: reading /metrics: %v", err)
+		}
+		if strings.Contains(text, "\nrbcastd_inflight_runs 1\n") {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	// Probe until the saturated daemon sheds one. The slow run holds the
 	// slot for hundreds of milliseconds minimum and each probe is
 	// single-digit ms, so the first probe that overlaps it must be shed;

@@ -199,7 +199,7 @@ func (s *Server) proxyRun(tr *obs.Trace, parent obs.SpanID, w http.ResponseWrite
 // node was down comes first). Probes run detached from the request
 // context like executeOne: a disconnecting client must not cancel a fill
 // that coalesced single-flight waiters.
-func (s *Server) peerFill(tr *obs.Trace, parent obs.SpanID, fp string) (rbcast.Result, bool) {
+func (s *Server) peerFill(tr *obs.Trace, parent obs.SpanID, fp string) (*rbcast.PackedResult, bool) {
 	for _, peer := range s.ring.Successors(fp, s.ring.Len()) {
 		if peer == s.self {
 			continue
@@ -225,37 +225,38 @@ func (s *Server) peerFill(tr *obs.Trace, parent obs.SpanID, fp string) (rbcast.R
 		}
 		tr.End(sp)
 	}
-	return rbcast.Result{}, false
+	return nil, false
 }
 
-// probePeer asks one sibling's cache for a fingerprint: (result, true) on
-// a resident answer, (zero, false) on a clean miss, an error for an
-// unreachable or misbehaving peer.
-func (s *Server) probePeer(peer, fp string) (rbcast.Result, bool, error) {
+// probePeer asks one sibling's cache for a fingerprint: (packed result,
+// true) on a resident answer, (nil, false) on a clean miss, an error for
+// an unreachable or misbehaving peer.
+func (s *Server) probePeer(peer, fp string) (*rbcast.PackedResult, bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.peerTimeout())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+fp, nil)
 	if err != nil {
-		return rbcast.Result{}, false, err
+		return nil, false, err
 	}
 	resp, err := s.peerHC.Do(req)
 	if err != nil {
-		return rbcast.Result{}, false, err
+		return nil, false, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var rr RunResponse
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			return rbcast.Result{}, false, fmt.Errorf("decoding cache probe from %s: %w", peer, err)
+			return nil, false, fmt.Errorf("decoding cache probe from %s: %w", peer, err)
 		}
-		return rr.Result, true, nil
+		packed := rr.Result.Pack()
+		return &packed, true, nil
 	case http.StatusNotFound:
 		io.Copy(io.Discard, resp.Body)
-		return rbcast.Result{}, false, nil
+		return nil, false, nil
 	default:
 		io.Copy(io.Discard, resp.Body)
-		return rbcast.Result{}, false, fmt.Errorf("peer %s answered %d to a cache probe", peer, resp.StatusCode)
+		return nil, false, fmt.Errorf("peer %s answered %d to a cache probe", peer, resp.StatusCode)
 	}
 }
 
@@ -267,7 +268,7 @@ func (s *Server) probePeer(peer, fp string) (rbcast.Result, bool, error) {
 func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	if res, ok := s.cache.Peek(fp); ok {
-		writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Result: res})
+		writeRendered(w, func(dst []byte) ([]byte, error) { return appendRunResponse(dst, fp, res) })
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("fingerprint %q is not resident", fp))

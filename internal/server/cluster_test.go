@@ -232,7 +232,8 @@ func TestClusterPeerFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].srv.cache.Put(fp, res)
+	packed := res.Pack()
+	nodes[1].srv.cache.Put(fp, &packed)
 
 	resp, body := postRun(t, nodes[0].url, req)
 	if resp.StatusCode != http.StatusOK {

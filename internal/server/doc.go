@@ -18,5 +18,8 @@
 // Identical scenarios — same canonical fingerprint, see
 // rbcast.Job.Fingerprint — are executed once and served from the cache
 // thereafter; concurrent identical /v1/run requests coalesce onto a single
-// execution and receive byte-identical bodies.
+// execution and receive byte-identical bodies. The cache holds
+// rbcast.PackedResult values, and every body that carries a Result is
+// rendered from one without reflection (render.go), byte-identical to
+// encoding/json's rendering of the exported wire types.
 package server

@@ -29,7 +29,9 @@ type BatchResponse struct {
 	StatusURL string `json:"status_url"`
 }
 
-// JobStatus is the /v1/jobs/{id} response body.
+// JobStatus is the /v1/jobs/{id} response body. The server renders it from
+// the job's packed results (render.go); the bytes equal json.Marshal of
+// this type.
 type JobStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"` // "running" or "done"
@@ -84,7 +86,7 @@ type batchJob struct {
 
 	mu      sync.Mutex
 	done    bool
-	results []JobResult
+	results []element
 	// progress is the latest cumulative snapshot; changed is closed and
 	// replaced on every advance, waking /v1/jobs/{id}/events streams.
 	progress ProgressEvent
@@ -134,7 +136,7 @@ func (j *batchJob) update(done int, nodeRounds int64, dedup int) {
 
 // finish publishes the results and the terminal progress event. The first
 // finish wins (the panic path and the normal path cannot both land).
-func (j *batchJob) finish(results []JobResult) {
+func (j *batchJob) finish(results []element) {
 	j.mu.Lock()
 	if !j.done {
 		j.results = results
@@ -143,7 +145,7 @@ func (j *batchJob) finish(results []JobResult) {
 		j.progress.JobsDone = j.n
 		errs := 0
 		for i := range results {
-			if results[i].Error != "" {
+			if results[i].err != "" {
 				errs++
 			}
 		}
@@ -232,9 +234,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if s.opts.Logger != nil {
 				s.opts.Logger.Error("batch job panicked", "job", job.id, "panic", r)
 			}
-			failed := make([]JobResult, job.n)
+			failed := make([]element, job.n)
 			for i := range failed {
-				failed[i].Error = fmt.Sprintf("batch execution panicked: %v", r)
+				failed[i].err = fmt.Sprintf("batch execution panicked: %v", r)
 			}
 			job.finish(failed)
 			jtr.Finish(http.StatusInternalServerError)
@@ -269,8 +271,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // fresh results, and stitches everything back in job order. tr (nil when
 // the flight recorder is disarmed) receives cache-scan and engine spans;
 // job receives live progress snapshots.
-func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, workers int) []JobResult {
-	results := make([]JobResult, len(reqs))
+func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, workers int) []element {
+	results := make([]element, len(reqs))
 	firstIndex := make(map[string]int) // fingerprint → first miss index
 	var missJobs []rbcast.Job
 	var missIndex []int
@@ -279,16 +281,15 @@ func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, worke
 	for i, rr := range reqs {
 		rj := rbcast.Job{Config: rr.Config, Plan: rr.Plan}
 		fp := rj.Fingerprint()
-		results[i].Fingerprint = fp
+		results[i].fp = fp
 		if res, ok := s.cache.Get(fp); ok {
-			res := res
-			results[i].Result = &res
-			results[i].Cached = true
+			results[i].res = res
+			results[i].cached = true
 			cached++
 			continue
 		}
 		if _, dup := firstIndex[fp]; dup {
-			results[i].Cached = true // resolved from the first occurrence below
+			results[i].cached = true // resolved from the first occurrence below
 			continue
 		}
 		firstIndex[fp] = i
@@ -319,37 +320,43 @@ func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, worke
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
 		for k, br := range batch {
-			i := missIndex[k]
-			if br.Err != nil {
-				results[i].Error = br.Err.Error()
-				if errors.Is(br.Err, rbcast.ErrDeadline) {
-					// The element was cut by the job deadline: surface the
-					// partial state alongside the error, but never cache it.
-					s.deadlineRuns.Add(1)
-					res := br.Result
-					results[i].Result = &res
-					results[i].Partial = true
-				}
-				continue
+			if s.settle(&results[missIndex[k]], br) {
+				s.observe(br.Result)
 			}
-			res := br.Result
-			results[i].Result = &res
-			s.cache.Put(results[i].Fingerprint, res)
-			s.observe(res)
 		}
 	}
 
 	// Resolve within-batch duplicates from their first occurrence.
 	for i := range results {
-		if results[i].Result != nil || results[i].Error != "" {
+		if results[i].res != nil || results[i].err != "" {
 			continue
 		}
-		first := results[firstIndex[results[i].Fingerprint]]
-		results[i].Result = first.Result
-		results[i].Error = first.Error
-		results[i].Partial = first.Partial
+		first := results[firstIndex[results[i].fp]]
+		results[i].res = first.res
+		results[i].err = first.err
+		results[i].partial = first.partial
 	}
 	return results
+}
+
+// settle fills an executed batch or sweep element from its result. A
+// success is packed and cached. An element cut by the job deadline
+// surfaces its partial state alongside the error, packed but never
+// cached; any other failure keeps only its error. It reports success.
+func (s *Server) settle(el *element, br rbcast.BatchResult) bool {
+	if br.Err != nil {
+		el.err = br.Err.Error()
+		if errors.Is(br.Err, rbcast.ErrDeadline) {
+			s.deadlineRuns.Add(1)
+			packed := br.Result.Pack()
+			el.res, el.partial = &packed, true
+		}
+		return false
+	}
+	packed := br.Result.Pack()
+	el.res = &packed
+	s.cache.Put(el.fp, el.res)
+	return true
 }
 
 // handleJob reports a batch job's state and, once done, its results.
@@ -362,14 +369,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	status := JobStatus{ID: job.id, Jobs: job.n, State: "running"}
+	state := "running"
 	job.mu.Lock()
+	results := job.results
 	if job.done {
-		status.State = "done"
-		status.Results = job.results
+		state = "done"
 	}
 	job.mu.Unlock()
-	writeJSON(w, http.StatusOK, status)
+	writeRendered(w, func(dst []byte) ([]byte, error) { return appendJobStatus(dst, job, state, results) })
 }
 
 // handleJobTrace streams one batch element's execution trace as JSON
@@ -408,19 +415,23 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	el := results[idx]
+	var trace []rbcast.TraceEvent
+	if el.res != nil {
+		trace = el.res.Result().Trace
+	}
 	switch {
-	case el.Error != "":
+	case el.err != "":
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("job element %d failed: %s", idx, el.Error))
+			fmt.Errorf("job element %d failed: %s", idx, el.err))
 		return
-	case el.Result == nil || len(el.Result.Trace) == 0:
+	case len(trace) == 0:
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("job element %d recorded no trace — set config.trace", idx))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	rbcast.EncodeTrace(w, el.Result.Trace)
+	rbcast.EncodeTrace(w, trace)
 }
 
 // eventsHeartbeat bounds how long an unchanged /v1/jobs/{id}/events

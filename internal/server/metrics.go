@@ -86,7 +86,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		float64(s.panicsRecovered.Load()))
 
 	writeGauge(&b, "rbcastd_sim_runs_total", "counter",
-		"Scenario executions completed successfully.", float64(s.simRuns.Load()))
+		"Scenario executions: successful /v1/run and /v1/batch runs plus the simulations each /v1/sweep ran.",
+		float64(s.simRuns.Load()))
 	writeGauge(&b, "rbcastd_sim_broadcasts_total", "counter",
 		"Local broadcasts transmitted across all executed runs.", float64(s.simBroadcasts.Load()))
 	writeGauge(&b, "rbcastd_sim_deliveries_total", "counter",

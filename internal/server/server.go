@@ -91,7 +91,7 @@ type Options struct {
 // with New; it is safe for concurrent use.
 type Server struct {
 	opts  Options
-	cache *scache.Cache[rbcast.Result]
+	cache *scache.Cache[*rbcast.PackedResult]
 	mux   *http.ServeMux
 	start time.Time
 
@@ -177,7 +177,7 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:           opts,
-		cache:          scache.New[rbcast.Result](opts.CacheSize),
+		cache:          scache.New[*rbcast.PackedResult](opts.CacheSize),
 		mux:            http.NewServeMux(),
 		start:          time.Now(),
 		requestsByPath: make(map[string]*atomic.Uint64),
@@ -233,7 +233,9 @@ type RunRequest struct {
 	Plan   rbcast.FaultPlan `json:"plan"`
 }
 
-// RunResponse is the /v1/run response body.
+// RunResponse is the /v1/run response body. The server renders it from
+// the packed cache entry (render.go); the bytes equal json.Marshal of this
+// type.
 type RunResponse struct {
 	Fingerprint string        `json:"fingerprint"`
 	Result      rbcast.Result `json:"result"`
@@ -294,14 +296,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// executing (with slot-wait and engine child spans from executeOne).
 	filled := false
 	cacheSp := tr.Start(root, "cache")
-	res, err, outcome := s.cache.DoOutcome(fp, func() (rbcast.Result, error) {
+	res, err, outcome := s.cache.DoOutcome(fp, func() (*rbcast.PackedResult, error) {
 		if s.ring != nil && s.ring.Owner(fp) == s.self {
 			if res, ok := s.peerFill(tr, cacheSp, fp); ok {
 				filled = true
 				return res, nil
 			}
 		}
-		return s.executeOne(tr, cacheSp, req.Config, req.Plan)
+		res, err := s.executeOne(tr, cacheSp, req.Config, req.Plan)
+		if err != nil {
+			return nil, err
+		}
+		packed := res.Pack()
+		return &packed, nil
 	})
 	switch outcome {
 	case scache.OutcomeHit:
@@ -341,7 +348,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Rbcast-Cache", "miss")
 	}
 	encSp := tr.Start(root, "encode")
-	writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Result: res})
+	writeRendered(w, func(dst []byte) ([]byte, error) { return appendRunResponse(dst, fp, res) })
 	tr.End(encSp)
 }
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -30,7 +29,8 @@ type SweepHeader struct {
 
 // SweepElement is one per-element NDJSON line, in grid order (the
 // SweepSpec.Elements expansion: placements outermost, crash rounds
-// innermost).
+// innermost). The server renders it from the packed cache entry
+// (render.go); the bytes equal json.Marshal of this type.
 type SweepElement struct {
 	Index       int            `json:"index"`
 	Fingerprint string         `json:"fingerprint"`
@@ -98,16 +98,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	scanSp := tr.Start(root, "cache_scan")
-	results := make([]SweepElement, len(elements))
+	results := make([]element, len(elements))
 	var missJobs []rbcast.Job
 	var missIndex []int
 	for i, job := range elements {
 		fp := job.Fingerprint()
-		results[i] = SweepElement{Index: i, Fingerprint: fp}
+		results[i].fp = fp
 		if res, ok := s.cache.Get(fp); ok {
-			res := res
-			results[i].Result = &res
-			results[i].Cached = true
+			results[i].res = res
+			results[i].cached = true
 			continue
 		}
 		// No within-sweep fingerprint dedup here: the sweep engine's
@@ -140,57 +139,49 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
 		for k, br := range batch {
-			i := missIndex[k]
-			if br.Err != nil {
-				results[i].Error = br.Err.Error()
-				if errors.Is(br.Err, rbcast.ErrDeadline) {
-					s.deadlineRuns.Add(1)
-					res := br.Result
-					results[i].Result = &res
-					results[i].Partial = true
-				}
-				continue
-			}
-			res := br.Result
-			results[i].Result = &res
-			s.cache.Put(results[i].Fingerprint, res)
-		}
-		// Fold the executed simulations into the fleet-wide totals once per
-		// distinct execution: shared results would double-count counters
-		// that were only incurred once.
-		seen := make(map[string]bool)
-		for k, br := range batch {
-			if br.Err != nil {
-				continue
-			}
-			fp := results[missIndex[k]].Fingerprint
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			s.observe(br.Result)
+			s.settle(&results[missIndex[k]], br)
 		}
 	}
+	// Elements share executions by execution key, so the sweep feeds
+	// rbcastd_sim_runs_total with the simulations it actually ran; its
+	// work is counted in node-rounds, not in the per-run traffic totals.
+	s.simRuns.Add(int64(stats.Simulations))
 	s.sweepsRun.Add(1)
 	s.sweepElements.Add(int64(len(elements)))
 	s.sweepSharedResults.Add(int64(stats.SharedResults))
 	s.sweepNodeRounds.Add(stats.NodeRounds)
 	s.sweepScalarNodeRounds.Add(stats.ScalarNodeRounds)
 
+	// Every line is rendered into one reused buffer and flushed on its
+	// own. The stream stops at the first failed write: a client that left
+	// costs no further rendering. A line that fails to render is skipped.
 	encSp := tr.Start(root, "encode")
+	defer tr.End(encSp)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		if enc.Encode(v) == nil && flusher != nil {
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	writeLine := func(line []byte, err error) bool {
+		*buf = line
+		if err != nil {
+			return true
+		}
+		if _, err := w.Write(line); err != nil {
+			return false
+		}
+		if flusher != nil {
 			flusher.Flush()
 		}
+		return true
 	}
-	writeLine(SweepHeader{Elements: len(elements)})
+	if !writeLine(appendMarshal((*buf)[:0], SweepHeader{Elements: len(elements)})) {
+		return
+	}
 	for i := range results {
-		writeLine(results[i])
+		if !writeLine(appendSweepElement((*buf)[:0], i, &results[i])) {
+			return
+		}
 	}
-	writeLine(SweepTrailer{Stats: stats})
-	tr.End(encSp)
+	writeLine(appendMarshal((*buf)[:0], SweepTrailer{Stats: stats}))
 }
