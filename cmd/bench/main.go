@@ -276,9 +276,10 @@ func writeReport(rep report, out string) error {
 }
 
 // compare fails when any scenario's allocations regress beyond the
-// threshold relative to the baseline report. Scenarios added since the
-// baseline are skipped (with a note); removed ones fail, since silently
-// dropping coverage would hide regressions.
+// threshold relative to the baseline report. A scenario missing on either
+// side fails too: one dropped from the run or one the baseline does not
+// gate would leave its allocations unguarded, so adding a scenario means
+// regenerating the baseline with it.
 func compare(rep report, baselinePath string, threshold float64) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -313,20 +314,18 @@ func compare(rep report, baselinePath string, threshold float64) error {
 				b.Name, b.AllocsOp, sr.AllocsOp, pct)
 		}
 	}
+	gated := make(map[string]bool, len(base.Scenarios))
+	for _, b := range base.Scenarios {
+		gated[b.Name] = true
+	}
 	for _, sr := range rep.Scenarios {
-		found := false
-		for _, b := range base.Scenarios {
-			if b.Name == sr.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Printf("new     %s (not in baseline, not gated)\n", sr.Name)
+		if !gated[sr.Name] {
+			fmt.Printf("UNGATED %s: in this run but not in the baseline\n", sr.Name)
+			regressed++
 		}
 	}
 	if regressed > 0 {
-		return fmt.Errorf("%d scenario(s) regressed beyond %.0f%% vs %s", regressed, threshold, baselinePath)
+		return fmt.Errorf("%d scenario(s) regressed beyond %.0f%% or are missing vs %s", regressed, threshold, baselinePath)
 	}
 	return nil
 }

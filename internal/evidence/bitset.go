@@ -4,37 +4,37 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/grid"
 	"repro/internal/topology"
 )
 
 // This file implements the word-packed set machinery behind the commit
 // rules. The disjoint-path packing of §VI/§VI-B is an exact set packing
 // over chains' node sets; representing each set as a bitmask over a
-// compact, per-call index of the nodes that actually occur turns the inner
-// loops of the branch-and-bound (conflict tests, domination pruning,
-// take/untake) into a handful of word operations and removes the
-// map-allocation churn the seed implementation paid per chain.
+// compact, per-evaluation index of the nodes that actually occur turns the
+// inner loops of the branch-and-bound (conflict tests, domination pruning,
+// take/untake) into a handful of word operations.
 
-// maskSet is a collection of fixed-width bitmasks sharing one backing
-// array: mask i occupies words [i*words, (i+1)*words).
-type maskSet struct {
-	words   int
-	backing []uint64
-}
-
-// newMaskSet allocates n all-zero masks of the given word width.
-func newMaskSet(n, words int) maskSet {
-	return maskSet{words: words, backing: make([]uint64, n*words)}
-}
-
-// mask returns the i-th mask.
-func (ms maskSet) mask(i int) []uint64 {
-	return ms.backing[i*ms.words : (i+1)*ms.words]
-}
-
-// set sets bit b of mask i.
-func (ms maskSet) set(i, b int) {
-	ms.backing[i*ms.words+b>>6] |= 1 << (uint(b) & 63)
+// packer is the scratch every packing evaluation over one store reuses:
+// the compact node index, the chain masks, the candidate lists and the
+// branch-and-bound state. Once its buffers have grown to the store's
+// working size an evaluation allocates nothing. Results are only valid
+// until the next call on the same packer.
+type packer struct {
+	bit     []int32           // node id → compact bit index + 1; 0 = unindexed
+	nodes   []topology.NodeID // ids indexed by the current chainMasks call
+	backing []uint64          // the chain masks' words
+	masks   [][]uint64        // one mask per chain, over backing
+	usable  [][]uint64        // the masks one candidate center admits
+	centers []grid.Coord      // candidate neighborhood centers
+	// maxDisjoint's state: the surviving candidates smallest first, their
+	// popcounts, domination flags, the chosen union and the incumbent.
+	cand   [][]uint64
+	pops   []int
+	pruned []bool
+	used   []uint64
+	best   int
+	target int
 }
 
 // popcount returns the number of set bits in m.
@@ -80,112 +80,155 @@ func andNotInto(dst, src []uint64) {
 	}
 }
 
+// reserve returns buf emptied, with room for at least n elements. It
+// doubles past n, so a store whose evaluations keep growing reallocates
+// its scratch O(log n) times.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, 2*n)
+	}
+	return buf[:0]
+}
+
+// zeroed returns buf resized to n words, all zero.
+func zeroed(buf []uint64, n int) []uint64 {
+	buf = reserve(buf, n)[:n]
+	clear(buf)
+	return buf
+}
+
 // chainMasks packs the chains' node sets into bitmasks over a compact
 // index of the nodes that occur. withOrigin selects whether a chain's
 // origin participates in its set (the §VI-B whole-chain rule) or only its
-// relays (the §VI internal-disjointness rule).
-func chainMasks(chains []Chain, withOrigin bool) ([][]uint64, int) {
-	index := make(map[topology.NodeID]int, 4*len(chains))
-	idxOf := func(id topology.NodeID) int {
-		if i, ok := index[id]; ok {
-			return i
-		}
-		i := len(index)
-		index[id] = i
-		return i
-	}
+// relays (the §VI internal-disjointness rule). Node ids must be
+// non-negative.
+func (p *packer) chainMasks(chains []Chain, withOrigin bool) ([][]uint64, int) {
 	// First pass: build the compact index so the word width is known.
 	for _, c := range chains {
 		if withOrigin {
-			idxOf(c.Origin)
+			p.index(c.Origin)
 		}
 		for _, rel := range c.Relays {
-			idxOf(rel)
+			p.index(rel)
 		}
 	}
-	words := (len(index) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	ms := newMaskSet(len(chains), words)
-	masks := make([][]uint64, len(chains))
+	words := max((len(p.nodes)+63)/64, 1)
+	p.backing = zeroed(p.backing, len(chains)*words)
+	p.masks = reserve(p.masks, len(chains))
 	for i, c := range chains {
+		m := p.backing[i*words : (i+1)*words : (i+1)*words]
 		if withOrigin {
-			ms.set(i, index[c.Origin])
+			setBit(m, p.bit[c.Origin]-1)
 		}
 		for _, rel := range c.Relays {
-			ms.set(i, index[rel])
+			setBit(m, p.bit[rel]-1)
 		}
-		masks[i] = ms.mask(i)
+		p.masks = append(p.masks, m)
 	}
-	return masks, words
+	for _, id := range p.nodes {
+		p.bit[id] = 0
+	}
+	p.nodes = p.nodes[:0]
+	return p.masks, words
 }
 
-// maxDisjointMasks computes the exact maximum pairwise-disjoint subfamily
-// of the given bitmasks, stopping early once `target` is reached. Masks
-// that are strict supersets of another mask are pruned first (domination),
-// then a branch-and-bound search runs on the survivors. Each mask is an
-// atomic evidence unit — recombining nodes across masks would be unsound,
-// which is why this is a set packing rather than a flow problem.
-func maxDisjointMasks(masks [][]uint64, words, target int) int {
-	keep := make([]bool, len(masks))
-	for i := range keep {
-		keep[i] = true
+// index gives id the next compact bit index unless it already has one.
+func (p *packer) index(id topology.NodeID) {
+	if int(id) >= len(p.bit) {
+		p.bit = append(p.bit, make([]int32, int(id)+1-len(p.bit))...)
 	}
+	if p.bit[id] == 0 {
+		p.nodes = append(p.nodes, id)
+		p.bit[id] = int32(len(p.nodes))
+	}
+}
+
+// setBit sets bit b of mask m.
+func setBit(m []uint64, b int32) {
+	m[b>>6] |= 1 << (uint(b) & 63)
+}
+
+// maxDisjoint computes the exact maximum pairwise-disjoint subfamily of
+// the given bitmasks, stopping early once target is reached. Masks that
+// are strict supersets of another mask are pruned first (domination), then
+// a branch-and-bound search runs on the survivors. Each mask is an atomic
+// evidence unit — recombining nodes across masks would be unsound, which
+// is why this is a set packing rather than a flow problem.
+func (p *packer) maxDisjoint(masks [][]uint64, words, target int) int {
+	p.pops = reserve(p.pops, len(masks))
+	p.pruned = reserve(p.pruned, len(masks))
+	for _, m := range masks {
+		p.pops = append(p.pops, popcount(m))
+		p.pruned = append(p.pruned, false)
+	}
+	pops, pruned := p.pops, p.pruned
 	for i := range masks {
-		if !keep[i] {
-			continue
-		}
 		for j := range masks {
-			if i == j || !keep[i] || !keep[j] {
+			if pruned[i] {
+				break
+			}
+			if i == j || pruned[j] {
 				continue
 			}
-			if maskSubsetOf(masks[j], masks[i]) && popcount(masks[j]) < popcount(masks[i]) {
-				keep[i] = false // i strictly dominated by j
-			} else if maskSubsetOf(masks[i], masks[j]) && i < j && popcount(masks[i]) == popcount(masks[j]) {
-				keep[j] = false // exact duplicate; keep the first
+			if maskSubsetOf(masks[j], masks[i]) && pops[j] < pops[i] {
+				pruned[i] = true // i strictly dominated by j
+			} else if maskSubsetOf(masks[i], masks[j]) && i < j && pops[i] == pops[j] {
+				pruned[j] = true // exact duplicate; keep the first
 			}
 		}
 	}
-	pruned := masks[:0]
-	for i, k := range keep {
-		if k {
-			pruned = append(pruned, masks[i])
+	// Survivors, smallest node sets first (they conflict less); insertion
+	// sort keeps equal sizes in input order and allocates nothing. The
+	// sorted sizes reuse pops[:n], which only holds consumed entries.
+	p.cand = reserve(p.cand, len(masks))
+	n := 0
+	for i, m := range masks {
+		if pruned[i] {
+			continue
 		}
+		pi := pops[i]
+		k := n
+		for k > 0 && pops[k-1] > pi {
+			k--
+		}
+		p.cand = append(p.cand, nil)
+		copy(p.cand[k+1:], p.cand[k:n])
+		copy(pops[k+1:n+1], pops[k:n])
+		p.cand[k], pops[k] = m, pi
+		n++
 	}
-	// Smaller node sets first: they conflict less.
-	sort.SliceStable(pruned, func(i, j int) bool { return popcount(pruned[i]) < popcount(pruned[j]) })
-
-	best := 0
-	used := make([]uint64, words)
-	var dfs func(idx, chosen int)
-	dfs = func(idx, chosen int) {
-		if chosen > best {
-			best = chosen
-		}
-		if best >= target || idx >= len(pruned) {
-			return
-		}
-		if chosen+len(pruned)-idx <= best {
-			return // cannot beat the incumbent
-		}
-		// Branch 1: take pruned[idx] if compatible.
-		if !intersects(pruned[idx], used) {
-			orInto(used, pruned[idx])
-			dfs(idx+1, chosen+1)
-			andNotInto(used, pruned[idx])
-			if best >= target {
-				return
-			}
-		}
-		// Branch 2: skip it.
-		dfs(idx+1, chosen)
-	}
-	dfs(0, 0)
-	return best
+	p.used = zeroed(p.used, words)
+	p.best, p.target = 0, target
+	p.search(0, 0)
+	return p.best
 }
 
-// disjointWitnessMasks is maxDisjointMasks' witness-producing sibling: it
+// search is maxDisjoint's branch-and-bound over p.cand[idx:], with chosen
+// masks already taken into p.used.
+func (p *packer) search(idx, chosen int) {
+	if chosen > p.best {
+		p.best = chosen
+	}
+	if p.best >= p.target || idx >= len(p.cand) {
+		return
+	}
+	if chosen+len(p.cand)-idx <= p.best {
+		return // cannot beat the incumbent
+	}
+	// Branch 1: take p.cand[idx] if compatible.
+	if m := p.cand[idx]; !intersects(m, p.used) {
+		orInto(p.used, m)
+		p.search(idx+1, chosen+1)
+		andNotInto(p.used, m)
+		if p.best >= p.target {
+			return
+		}
+	}
+	// Branch 2: skip it.
+	p.search(idx+1, chosen)
+}
+
+// disjointWitnessMasks is maxDisjoint's witness-producing sibling: it
 // returns the indices (into masks) of a pairwise-disjoint subfamily of size
 // target, or nil when none exists. It runs without domination pruning — the
 // caller needs real member indices, and witness extraction only runs at

@@ -1,8 +1,7 @@
 package evidence
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -18,137 +17,160 @@ type Chain struct {
 	Relays []topology.NodeID
 }
 
-// maxKeyRelays is how many relays fit in chainKey's inline array. Protocol
-// chains carry at most paths.MaxIntermediates (3) relays, so the string
-// spillover only ever triggers for out-of-spec callers.
-const maxKeyRelays = 4
-
-// chainKey canonically identifies a chain (origin, value and exact relay
-// sequence). It is a comparable value — dedup is a map probe with no
-// per-chain string building. Unused relay slots hold topology.None, which
-// can never be a real relay, so (together with n) padding is unambiguous.
-type chainKey struct {
-	origin topology.NodeID
-	value  byte
-	n      uint8
-	relays [maxKeyRelays]topology.NodeID
-	long   string // relay overflow spillover; "" in the inline case
-}
-
-// key canonically identifies the chain (origin, value and exact relay
-// sequence).
-func (c Chain) key() chainKey {
-	k := chainKey{
-		origin: c.Origin,
-		value:  c.Value,
-		n:      uint8(len(c.Relays)),
-		relays: [maxKeyRelays]topology.NodeID{topology.None, topology.None, topology.None, topology.None},
-	}
-	if len(c.Relays) <= maxKeyRelays {
-		copy(k.relays[:], c.Relays)
-		return k
-	}
-	var b strings.Builder
-	b.Grow(4 * len(c.Relays))
-	for _, r := range c.Relays {
-		b.WriteByte(byte(r))
-		b.WriteByte(byte(r >> 8))
-		b.WriteByte(byte(r >> 16))
-		b.WriteByte(byte(r >> 24))
-	}
-	k.long = b.String()
-	return k
-}
-
-// Store accumulates the chains a node has recorded, indexed by (origin,
-// value). It additionally maintains a per-value list of all evidence
-// (relayed chains plus direct receptions as relay-free chains) so the
-// single-neighborhood commit rule never re-gathers. The zero value is not
-// usable; create with NewStore.
+// Store accumulates the chains a node has recorded for the binary values 0
+// and 1 about origins in [0, n). One dense index over origin ids leads to
+// both values' chain lists, and a per-value list of all evidence (relayed
+// chains plus direct receptions as relay-free chains) serves the
+// single-neighborhood commit rule without re-gathering. Chain lists and
+// relay ids live in two shared slabs, so recording a chain allocates only
+// when a slab fills. A Store is not safe for concurrent use. The zero
+// value is not usable; create with NewStore.
 type Store struct {
-	chains  map[chainIndex][]Chain
-	seen    map[chainKey]struct{}
-	direct  map[chainIndex]bool // COMMITTED heard directly from the origin
-	byValue map[byte][]Chain
+	slot    []int32 // origin → 1 + position in origins; 0 = nothing recorded
+	origins []originEvidence
+	byValue [2][]Chain
+	// chainSlab backs every chain list; relaySlab backs every recorded
+	// chain's relays, so a caller's relay slice is never retained.
+	chainSlab []Chain
+	relaySlab []topology.NodeID
+	pack      packer // scratch reused by every packing evaluation
 }
 
-type chainIndex struct {
-	origin topology.NodeID
-	value  byte
+// originEvidence is one origin's evidence, per value.
+type originEvidence struct {
+	chains [2][]Chain // relayed chains, in insertion order
+	direct [2]bool    // COMMITTED heard directly from the origin
 }
 
-// NewStore creates an empty evidence store.
-func NewStore() *Store {
-	return &Store{
-		chains:  make(map[chainIndex][]Chain),
-		seen:    make(map[chainKey]struct{}),
-		direct:  make(map[chainIndex]bool),
-		byValue: make(map[byte][]Chain),
+// NewStore creates an empty evidence store for origins in [0, n).
+func NewStore(n int) *Store {
+	return &Store{slot: make([]int32, n)}
+}
+
+// find returns the origin's evidence, or nil when none is recorded.
+func (s *Store) find(origin topology.NodeID) *originEvidence {
+	if uint(origin) < uint(len(s.slot)) && s.slot[origin] != 0 {
+		return &s.origins[s.slot[origin]-1]
 	}
+	return nil
+}
+
+// entry returns the origin's evidence, creating it when absent. The origin
+// must lie in [0, n).
+func (s *Store) entry(origin topology.NodeID) *originEvidence {
+	if s.slot[origin] == 0 {
+		s.origins = append(s.origins, originEvidence{})
+		s.slot[origin] = int32(len(s.origins))
+	}
+	return &s.origins[s.slot[origin]-1]
 }
 
 // AddDirect records that the node heard COMMITTED(origin, value) on the
 // channel itself — unforgeable, so it needs no disjoint-path corroboration.
+// Origins outside [0, n) and values other than 0 and 1 are ignored.
 func (s *Store) AddDirect(origin topology.NodeID, value byte) {
-	idx := chainIndex{origin: origin, value: value}
-	if s.direct[idx] {
+	if value > 1 || uint(origin) >= uint(len(s.slot)) {
 		return
 	}
-	s.direct[idx] = true
-	s.byValue[value] = append(s.byValue[value], Chain{Origin: origin, Value: value})
+	e := s.entry(origin)
+	if e.direct[value] {
+		return
+	}
+	e.direct[value] = true
+	s.byValue[value] = s.appendChain(s.byValue[value], Chain{Origin: origin, Value: value})
 }
 
 // HasDirect reports whether COMMITTED(origin, value) was heard directly.
 func (s *Store) HasDirect(origin topology.NodeID, value byte) bool {
-	return s.direct[chainIndex{origin: origin, value: value}]
+	e := s.find(origin)
+	return e != nil && value <= 1 && e.direct[value]
 }
 
-// Add records a relayed chain, ignoring exact duplicates. It returns true
-// when the chain was new.
+// Add records a relayed chain, ignoring exact duplicates (same origin,
+// value and relay sequence), origins outside [0, n) and values other than
+// 0 and 1. It returns true when the chain was new. The relays are copied;
+// c.Relays is not retained.
 func (s *Store) Add(c Chain) bool {
-	k := c.key()
-	if _, dup := s.seen[k]; dup {
+	if c.Value > 1 || uint(c.Origin) >= uint(len(s.slot)) {
 		return false
 	}
-	s.seen[k] = struct{}{}
-	idx := chainIndex{origin: c.Origin, value: c.Value}
-	s.chains[idx] = append(s.chains[idx], c)
-	s.byValue[c.Value] = append(s.byValue[c.Value], c)
+	e := s.entry(c.Origin)
+	for _, old := range e.chains[c.Value] {
+		if slices.Equal(old.Relays, c.Relays) {
+			return false
+		}
+	}
+	c.Relays = s.copyRelays(c.Relays)
+	e.chains[c.Value] = s.appendChain(e.chains[c.Value], c)
+	s.byValue[c.Value] = s.appendChain(s.byValue[c.Value], c)
 	return true
 }
 
-// Chains returns the recorded chains for (origin, value). The returned
-// slice is shared; callers must not mutate it.
+// Recorded reports whether a relayed chain from origin with exactly these
+// relays is recorded under either value — the value-blind lookup behind
+// the protocols' first-version-wins HEARD dedup (§V).
+func (s *Store) Recorded(origin topology.NodeID, relays []topology.NodeID) bool {
+	e := s.find(origin)
+	if e == nil {
+		return false
+	}
+	for _, chains := range e.chains {
+		for _, c := range chains {
+			if slices.Equal(c.Relays, relays) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Chains returns the recorded relayed chains for (origin, value), in
+// insertion order. The returned slice is shared; callers must not mutate
+// it.
 func (s *Store) Chains(origin topology.NodeID, value byte) []Chain {
-	return s.chains[chainIndex{origin: origin, value: value}]
+	if e := s.find(origin); e != nil && value <= 1 {
+		return e.chains[value]
+	}
+	return nil
 }
 
 // ValueChains returns every piece of evidence for the value across all
 // origins, direct receptions included (as relay-free chains), in insertion
 // order. The returned slice is shared; callers must not mutate it.
 func (s *Store) ValueChains(value byte) []Chain {
+	if value > 1 {
+		return nil
+	}
 	return s.byValue[value]
 }
 
-// Origins returns all (origin, value) pairs with any recorded evidence
-// (direct or relayed), in deterministic order.
-func (s *Store) Origins() []Chain {
-	out := make([]Chain, 0, len(s.chains)+len(s.direct))
-	seen := make(map[chainIndex]struct{}, len(s.chains)+len(s.direct))
-	for idx := range s.direct {
-		seen[idx] = struct{}{}
-		out = append(out, Chain{Origin: idx.origin, Value: idx.value})
+// copyRelays copies relays into the relay slab, starting a fresh slab
+// chunk (twice the last one) when the current chunk is full. Earlier
+// chunks stay reachable through the chains that use them.
+func (s *Store) copyRelays(relays []topology.NodeID) []topology.NodeID {
+	if len(relays) == 0 {
+		return nil
 	}
-	for idx := range s.chains {
-		if _, ok := seen[idx]; !ok {
-			out = append(out, Chain{Origin: idx.origin, Value: idx.value})
-		}
+	if cap(s.relaySlab)-len(s.relaySlab) < len(relays) {
+		s.relaySlab = make([]topology.NodeID, 0, max(len(relays), 2*cap(s.relaySlab), 64))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
+	start := len(s.relaySlab)
+	s.relaySlab = append(s.relaySlab, relays...)
+	return s.relaySlab[start:len(s.relaySlab):len(s.relaySlab)]
+}
+
+// appendChain appends c to a chain list. A full list moves to a segment of
+// twice its capacity carved from the chain slab, so the lists share a few
+// slab chunks instead of each owning a backing array.
+func (s *Store) appendChain(list []Chain, c Chain) []Chain {
+	if len(list) == cap(list) {
+		n := max(2*cap(list), 2)
+		if cap(s.chainSlab)-len(s.chainSlab) < n {
+			s.chainSlab = make([]Chain, 0, max(n, 2*cap(s.chainSlab), 32))
 		}
-		return out[i].Value < out[j].Value
-	})
-	return out
+		at := len(s.chainSlab)
+		s.chainSlab = s.chainSlab[:at+n]
+		list = append(s.chainSlab[at:at:at+n], list...)
+	}
+	return append(list, c)
 }

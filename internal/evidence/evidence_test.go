@@ -17,7 +17,7 @@ func testNet(t *testing.T, w, h, r int) *topology.Network {
 }
 
 func TestStoreDedup(t *testing.T) {
-	s := NewStore()
+	s := NewStore(16)
 	c := Chain{Origin: 5, Value: 1, Relays: []topology.NodeID{2, 3}}
 	if !s.Add(c) {
 		t.Error("first add must succeed")
@@ -37,33 +37,44 @@ func TestStoreDedup(t *testing.T) {
 }
 
 func TestStoreDirect(t *testing.T) {
-	s := NewStore()
+	s := NewStore(16)
 	s.AddDirect(7, 1)
 	if !s.HasDirect(7, 1) || s.HasDirect(7, 0) || s.HasDirect(8, 1) {
 		t.Error("direct bookkeeping wrong")
 	}
 }
 
-func TestStoreOrigins(t *testing.T) {
-	s := NewStore()
-	s.AddDirect(3, 1)
-	s.Add(Chain{Origin: 2, Value: 0, Relays: []topology.NodeID{9}})
-	s.Add(Chain{Origin: 3, Value: 1, Relays: []topology.NodeID{8}})
-	got := s.Origins()
-	if len(got) != 2 {
-		t.Fatalf("origins = %v", got)
+func TestChainKeyDistinguishesOrder(t *testing.T) {
+	s := NewStore(16)
+	if !s.Add(Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{2, 3}}) {
+		t.Fatal("first add must succeed")
 	}
-	if got[0].Origin != 2 || got[1].Origin != 3 {
-		t.Errorf("origins order: %v", got)
+	// Chains are attested sequences: the same relays in another order are
+	// a new chain.
+	if !s.Add(Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{3, 2}}) {
+		t.Error("reordered relays must make a new chain")
+	}
+	if got := len(s.Chains(1, 0)); got != 2 {
+		t.Errorf("recorded %d chains, want 2", got)
 	}
 }
 
-func TestChainKeyDistinguishesOrder(t *testing.T) {
-	a := Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{2, 3}}
-	b := Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{3, 2}}
-	if a.key() == b.key() {
-		t.Error("relay order matters: chains are attested sequences")
+func TestStoreCopiesRelays(t *testing.T) {
+	s := NewStore(16)
+	relays := []topology.NodeID{4, 5}
+	s.Add(Chain{Origin: 1, Value: 1, Relays: relays})
+	relays[0] = 9
+	if got := s.Chains(1, 1)[0].Relays; got[0] != 4 {
+		t.Errorf("stored relays alias the caller's slice: %v", got)
 	}
+}
+
+// maxDisjointChains returns the size of a maximum pairwise relay-disjoint
+// subset of chains, stopping early once target is reached.
+func maxDisjointChains(chains []Chain, target int) int {
+	var p packer
+	masks, words := p.chainMasks(chains, false)
+	return p.maxDisjoint(masks, words, target)
 }
 
 func TestMaxDisjointChains(t *testing.T) {
@@ -104,7 +115,7 @@ func TestMaxDisjointChainsEarlyExit(t *testing.T) {
 
 func TestDeterminedExactDirect(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.AddDirect(5, 1)
 	if !DeterminedExact(net, s, 0, 5, 1, 99) {
 		t.Error("direct hearing determines regardless of need")
@@ -118,7 +129,7 @@ func TestDeterminedExactViaChains(t *testing.T) {
 	origin := net.IDOf(grid.C(4, 2)) // distance 2: both in nbd centered (3,2)
 	relayA := net.IDOf(grid.C(3, 1))
 	relayB := net.IDOf(grid.C(3, 3))
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayA}})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("one chain cannot satisfy need=2")
@@ -139,7 +150,7 @@ func TestDeterminedExactRejectsSharedRelay(t *testing.T) {
 	origin := net.IDOf(grid.C(4, 2))
 	shared := net.IDOf(grid.C(3, 2))
 	far := net.IDOf(grid.C(3, 1))
-	s := NewStore()
+	s := NewStore(net.Size())
 	// Two chains sharing their only relay: max packing is 1.
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared, far}})
@@ -156,7 +167,7 @@ func TestDeterminedExactRequiresSingleNeighborhood(t *testing.T) {
 	origin := net.IDOf(grid.C(7, 5))
 	nearRelay := net.IDOf(grid.C(6, 5))
 	farRelay := net.IDOf(grid.C(6, 9)) // outside every candidate nbd
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{nearRelay}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{farRelay}})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
@@ -170,7 +181,7 @@ func TestCommitSingleLevel(t *testing.T) {
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(3, 2))
 	o2 := net.IDOf(grid.C(3, 3))
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.AddDirect(o1, 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
 		t.Error("single chain insufficient")
@@ -187,7 +198,7 @@ func TestCommitSingleLevelDisjointness(t *testing.T) {
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(4, 2))
 	o2 := net.IDOf(grid.C(3, 2)) // o2 is also the relay of o1's chain
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{o2}})
 	s.AddDirect(o2, 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
@@ -205,7 +216,7 @@ func TestCommitSingleLevelIgnoresLongChains(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(3, 2))
-	s := NewStore()
+	s := NewStore(net.Size())
 	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{
 		net.IDOf(grid.C(3, 3)), net.IDOf(grid.C(2, 3)),
 	}})
@@ -315,7 +326,7 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 	if len(relPaths) != r*(2*r+1) {
 		t.Fatalf("offset %v: %d designated paths", d, len(relPaths))
 	}
-	s := NewStore()
+	s := NewStore(net.Size())
 	if got := ft.ConfirmedPaths(net, s, recv, origin, 1); got != 0 {
 		t.Fatalf("no chains: confirmed = %d", got)
 	}
@@ -339,7 +350,7 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 		t.Error("wrong value must not be determined")
 	}
 	// Direct hearing shortcut.
-	s2 := NewStore()
+	s2 := NewStore(net.Size())
 	s2.AddDirect(origin, 1)
 	if !DeterminedDesignated(net, ft, s2, recv, origin, 1, need) {
 		t.Error("direct hearing determines")

@@ -24,16 +24,15 @@ func DeterminedExact(net *topology.Network, s *Store, receiver, origin topology.
 		return false
 	}
 	r := net.Radius()
-	recvC := net.CoordOf(receiver)
+	p := &s.pack
 	// Pack every chain's relay set once; each candidate center then only
 	// filters the shared masks instead of rebuilding node sets.
-	masks, words := chainMasks(chains, false)
-	usable := make([][]uint64, 0, len(chains))
-	for _, center := range candidateCenters(net, recvC, origin) {
+	masks, words := p.chainMasks(chains, false)
+	for _, center := range p.candidateCenters(net, net.CoordOf(receiver), origin) {
 		inNbd := func(id topology.NodeID) bool {
 			return net.Torus().Within(net.Metric(), center, net.CoordOf(id), r)
 		}
-		usable = usable[:0]
+		p.usable = reserve(p.usable, len(chains))
 		for i, c := range chains {
 			ok := true
 			for _, rel := range c.Relays {
@@ -43,13 +42,13 @@ func DeterminedExact(net *topology.Network, s *Store, receiver, origin topology.
 				}
 			}
 			if ok {
-				usable = append(usable, masks[i])
+				p.usable = append(p.usable, masks[i])
 			}
 		}
-		if len(usable) < need {
+		if len(p.usable) < need {
 			continue
 		}
-		if maxDisjointMasks(usable, words, need) >= need {
+		if p.maxDisjoint(p.usable, words, need) >= need {
 			return true
 		}
 	}
@@ -72,9 +71,9 @@ func DeterminedExactWitness(net *topology.Network, s *Store, receiver, origin to
 		return nil, false, false
 	}
 	r := net.Radius()
-	recvC := net.CoordOf(receiver)
-	masks, words := chainMasks(all, false)
-	for _, center := range candidateCenters(net, recvC, origin) {
+	p := &s.pack
+	masks, words := p.chainMasks(all, false)
+	for _, center := range p.candidateCenters(net, net.CoordOf(receiver), origin) {
 		inNbd := func(id topology.NodeID) bool {
 			return net.Torus().Within(net.Metric(), center, net.CoordOf(id), r)
 		}
@@ -108,13 +107,13 @@ func DeterminedExactWitness(net *topology.Network, s *Store, receiver, origin to
 }
 
 // candidateCenters enumerates the grid points whose closed neighborhood
-// contains both the receiver and the origin.
-func candidateCenters(net *topology.Network, recvC grid.Coord, origin topology.NodeID) []grid.Coord {
+// contains both the receiver and the origin, into the packer's buffer.
+func (p *packer) candidateCenters(net *topology.Network, recvC grid.Coord, origin topology.NodeID) []grid.Coord {
 	r := net.Radius()
 	t := net.Torus()
 	m := net.Metric()
 	origC := net.CoordOf(origin)
-	var out []grid.Coord
+	p.centers = reserve(p.centers, (2*r+1)*(2*r+1))
 	for dy := -r; dy <= r; dy++ {
 		for dx := -r; dx <= r; dx++ {
 			c := t.Wrap(recvC.Add(grid.C(dx, dy)))
@@ -122,47 +121,11 @@ func candidateCenters(net *topology.Network, recvC grid.Coord, origin topology.N
 				continue // L2: offset box is a superset of the ball
 			}
 			if t.Within(m, c, origC, r) {
-				out = append(out, c)
+				p.centers = append(p.centers, c)
 			}
 		}
 	}
-	return out
-}
-
-// maxDisjointChains returns the size of a maximum pairwise relay-disjoint
-// subset of chains (chains share their origin, so only relays conflict),
-// stopping early once `target` is reached.
-func maxDisjointChains(chains []Chain, target int) int {
-	masks, words := chainMasks(chains, false)
-	return maxDisjointMasks(masks, words, target)
-}
-
-// maxDisjointSets computes the exact maximum pairwise-disjoint subfamily of
-// the given node sets, stopping early once `target` is reached. It is the
-// map-set entry point to the word-packed packer in bitset.go, retained for
-// callers (and property tests) that hold sets rather than chains.
-func maxDisjointSets(sets []map[topology.NodeID]struct{}, target int) int {
-	index := make(map[topology.NodeID]int, 4*len(sets))
-	for _, set := range sets {
-		for id := range set {
-			if _, ok := index[id]; !ok {
-				index[id] = len(index)
-			}
-		}
-	}
-	words := (len(index) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	ms := newMaskSet(len(sets), words)
-	masks := make([][]uint64, len(sets))
-	for i, set := range sets {
-		for id := range set {
-			ms.set(i, index[id])
-		}
-		masks[i] = ms.mask(i)
-	}
-	return maxDisjointMasks(masks, words, target)
+	return p.centers
 }
 
 // CommitSingleLevel implements the §VI-B (two-hop protocol) commit rule:
@@ -208,8 +171,8 @@ func commitSingleLevel(net *topology.Network, s *Store, receiver topology.NodeID
 	}
 	// Pack every chain's whole node set (origin AND relays — the §VI-B
 	// "collectively node-disjoint" requirement) once up front.
-	masks, words := chainMasks(all, true)
-	usable := make([][]uint64, 0, len(all))
+	p := &s.pack
+	masks, words := p.chainMasks(all, true)
 	for dy := -span; dy <= span; dy++ {
 		for dx := -span; dx <= span; dx++ {
 			center := t.Wrap(anchor.Add(grid.C(dx, dy)))
@@ -225,7 +188,7 @@ func commitSingleLevel(net *topology.Network, s *Store, receiver topology.NodeID
 			inNbd := func(id topology.NodeID) bool {
 				return t.Within(m, center, net.CoordOf(id), r)
 			}
-			usable = usable[:0]
+			p.usable = reserve(p.usable, len(all))
 			for i, c := range all {
 				if len(c.Relays) > 1 {
 					continue // two-hop protocol: at most one relay
@@ -241,13 +204,13 @@ func commitSingleLevel(net *topology.Network, s *Store, receiver topology.NodeID
 					}
 				}
 				if ok {
-					usable = append(usable, masks[i])
+					p.usable = append(p.usable, masks[i])
 				}
 			}
-			if len(usable) < need {
+			if len(p.usable) < need {
 				continue
 			}
-			if maxDisjointMasks(usable, words, need) >= need {
+			if p.maxDisjoint(p.usable, words, need) >= need {
 				return true
 			}
 		}
@@ -273,7 +236,7 @@ func CommitWitness(net *topology.Network, s *Store, receiver topology.NodeID, va
 	m := net.Metric()
 	anchor := net.CoordOf(receiver)
 	span := 3 * r
-	masks, words := chainMasks(all, true)
+	masks, words := s.pack.chainMasks(all, true)
 	for dy := -span; dy <= span; dy++ {
 		for dx := -span; dx <= span; dx++ {
 			c := t.Wrap(anchor.Add(grid.C(dx, dy)))
@@ -314,21 +277,4 @@ func CommitWitness(net *topology.Network, s *Store, receiver topology.NodeID, va
 		}
 	}
 	return grid.Coord{}, nil, false
-}
-
-// maxDisjointWholeChains computes the exact maximum set of pairwise
-// node-disjoint chains where disjointness covers origins AND relays (the
-// §VI-B "collectively node-disjoint" requirement). Chains are atomic: a
-// node's origin role in one chain conflicts with its relay role in another.
-func maxDisjointWholeChains(chains []Chain, target int) int {
-	sets := make([]map[topology.NodeID]struct{}, 0, len(chains))
-	for _, c := range chains {
-		set := make(map[topology.NodeID]struct{}, len(c.Relays)+1)
-		set[c.Origin] = struct{}{}
-		for _, rel := range c.Relays {
-			set[rel] = struct{}{}
-		}
-		sets = append(sets, set)
-	}
-	return maxDisjointSets(sets, target)
 }

@@ -7,6 +7,20 @@ import (
 	"repro/internal/topology"
 )
 
+// maxDisjointSets runs p on explicit node sets, each posed as the relay set
+// of one chain. The property tests reuse one packer across instances, so
+// they also check that no evaluation leaks state into the next.
+func maxDisjointSets(p *packer, sets []map[topology.NodeID]struct{}, target int) int {
+	chains := make([]Chain, len(sets))
+	for i, set := range sets {
+		for id := range set {
+			chains[i].Relays = append(chains[i].Relays, id)
+		}
+	}
+	masks, words := p.chainMasks(chains, false)
+	return p.maxDisjoint(masks, words, target)
+}
+
 // bruteForceMaxDisjoint enumerates all subsets (sets are ≤ 12 in the tests)
 // and returns the size of the largest pairwise-disjoint subfamily.
 func bruteForceMaxDisjoint(sets []map[topology.NodeID]struct{}) int {
@@ -44,6 +58,7 @@ func bruteForceMaxDisjoint(sets []map[topology.NodeID]struct{}) int {
 // TestMaxDisjointSetsMatchesBruteForce cross-checks the branch-and-bound
 // packer against exhaustive enumeration on random small instances.
 func TestMaxDisjointSetsMatchesBruteForce(t *testing.T) {
+	var p packer
 	f := func(seed uint32) bool {
 		rng := seed
 		next := func(mod uint32) uint32 {
@@ -69,7 +84,7 @@ func TestMaxDisjointSetsMatchesBruteForce(t *testing.T) {
 			copies[i] = c
 		}
 		want := bruteForceMaxDisjoint(copies)
-		got := maxDisjointSets(sets, n+1) // target beyond reach: exact maximum
+		got := maxDisjointSets(&p, sets, n+1) // target beyond reach: exact maximum
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -80,6 +95,7 @@ func TestMaxDisjointSetsMatchesBruteForce(t *testing.T) {
 // TestMaxDisjointSetsEarlyExitIsSound verifies the early-exit form never
 // reports reaching a target the true maximum cannot reach.
 func TestMaxDisjointSetsEarlyExitIsSound(t *testing.T) {
+	var p packer
 	f := func(seed uint32, targetRaw uint8) bool {
 		rng := seed
 		next := func(mod uint32) uint32 {
@@ -105,7 +121,7 @@ func TestMaxDisjointSetsEarlyExitIsSound(t *testing.T) {
 		}
 		truth := bruteForceMaxDisjoint(copies)
 		target := int(targetRaw%6) + 1
-		got := maxDisjointSets(sets, target)
+		got := maxDisjointSets(&p, sets, target)
 		// With early exit, got ≥ target implies truth ≥ target; and got
 		// never exceeds the true maximum.
 		if got > truth {

@@ -398,3 +398,25 @@ func TestRandomBoundedNegativeBudget(t *testing.T) {
 		t.Error("negative budget must error")
 	}
 }
+
+func TestForgeryKeyDistinguishes(t *testing.T) {
+	base := sim.Message{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}}
+	variants := []sim.Message{
+		{Kind: sim.KindCommitted, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}},
+		{Kind: sim.KindHeard, Origin: 8, Value: 1, Path: []topology.NodeID{1, 2}},
+		{Kind: sim.KindHeard, Origin: 7, Value: 0, Path: []topology.NodeID{1, 2}},
+		{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{2, 1}},
+		{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1}},
+		{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2, 0}},
+		{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}, Instance: 3},
+	}
+	for i, v := range variants {
+		if newForgeryKey(v) == newForgeryKey(base) {
+			t.Errorf("variant %d has same key as base", i)
+		}
+	}
+	dup := sim.Message{Kind: sim.KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}}
+	if newForgeryKey(dup) != newForgeryKey(base) {
+		t.Error("identical messages must share a key")
+	}
+}

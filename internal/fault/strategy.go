@@ -70,7 +70,7 @@ func (s Strategy) NewProcess(id topology.NodeID) sim.Process {
 	case Liar:
 		return &liarProc{}
 	case Forger:
-		return &forgerProc{seen: make(map[string]struct{})}
+		return &forgerProc{seen: make(map[forgeryKey]struct{})}
 	case Spoofer:
 		return &spooferProc{victims: make(map[topology.NodeID]struct{})}
 	case Equivocator:
@@ -117,7 +117,30 @@ func (p *liarProc) Decided() (byte, bool) { return 0, false }
 // forgerProc lies about its own commitment and about everything it relays.
 type forgerProc struct {
 	sentCommit bool
-	seen       map[string]struct{}
+	seen       map[forgeryKey]struct{}
+}
+
+// forgeryKey identifies one forged message: instance, kind, origin, value
+// and relay path. Forgeries are HEARD reports of at most
+// sim.MaxHeardRelays relays, so the path fits inline and the key is
+// comparable without building a string; unused slots hold topology.None.
+type forgeryKey struct {
+	instance int32
+	kind     sim.Kind
+	value    byte
+	origin   topology.NodeID
+	path     [sim.MaxHeardRelays]topology.NodeID
+}
+
+// newForgeryKey builds m's key. Forgeries never carry more than
+// sim.MaxHeardRelays relays; a longer path would keep only its prefix.
+func newForgeryKey(m sim.Message) forgeryKey {
+	k := forgeryKey{instance: m.Instance, kind: m.Kind, value: m.Value, origin: m.Origin}
+	for i := range k.path {
+		k.path[i] = topology.None
+	}
+	copy(k.path[:], m.Path)
+	return k
 }
 
 // Init implements sim.Process.
@@ -162,7 +185,7 @@ func (p *forgerProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Messag
 // broadcastOnce suppresses duplicate forgeries (the medium preserves
 // per-sender ordering, so honest receivers would ignore duplicates anyway).
 func (p *forgerProc) broadcastOnce(ctx sim.Context, m sim.Message) {
-	k := m.Key()
+	k := newForgeryKey(m)
 	if _, ok := p.seen[k]; ok {
 		return
 	}

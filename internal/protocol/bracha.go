@@ -56,19 +56,38 @@ type brachaProc struct {
 	readyVal byte
 	// echoes[v]/readies[v] hold the distinct endorsers counted per value:
 	// attributed physical senders (plain) or Origin signers (auth).
-	echoes  [2]map[topology.NodeID]struct{}
-	readies [2]map[topology.NodeID]struct{}
-	// relayed dedups the authenticated variant's signed flooding: each
-	// distinct (kind, signer, value) message is re-broadcast once.
-	relayed map[string]struct{}
-	mc      *metrics.Collector
-	tr      *etrace.Recorder
+	echoes  [2]tally
+	readies [2]tally
+	// The authenticated variant's signed flooding re-broadcasts each
+	// distinct signed message once: relayedVal[v] marks the source's VAL
+	// of v, relayed[k][v] the signers whose ECHO (k = 0) or READY (k = 1)
+	// of v went out.
+	relayedVal [2]bool
+	relayed    [2][2]topology.NodeSet
+	mc         *metrics.Collector
+	tr         *etrace.Recorder
 	// Trace-only certificate state, never allocated on untraced runs:
 	// ordered endorser lists per value, and the ECHO quorum snapshot taken
 	// when the node's own READY fired via the echo path.
 	echoVoters  [2][]topology.NodeID
 	readyVoters [2][]topology.NodeID
 	echoCert    []topology.NodeID
+}
+
+// tally is one value's set of distinct endorsers and its size.
+type tally struct {
+	ids topology.NodeSet
+	n   int
+}
+
+// add records an endorser; true means the tally changed.
+func (t *tally) add(id topology.NodeID) bool {
+	if t.ids.Has(id) {
+		return false
+	}
+	t.ids.Add(id)
+	t.n++
+	return true
 }
 
 // newBrachaFactory builds Bracha processes. The quorum thresholds only
@@ -90,13 +109,12 @@ func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 			mc:     p.Metrics,
 			tr:     p.Trace,
 		}
-		for v := 0; v < 2; v++ {
-			b.echoes[v] = make(map[topology.NodeID]struct{})
-			b.readies[v] = make(map[topology.NodeID]struct{})
+		sets := []*topology.NodeSet{&b.echoes[0].ids, &b.echoes[1].ids, &b.readies[0].ids, &b.readies[1].ids,
+			&b.relayed[0][0], &b.relayed[0][1], &b.relayed[1][0], &b.relayed[1][1]}
+		if !auth {
+			sets = sets[:4] // only signed flooding needs the relayed sets
 		}
-		if auth {
-			b.relayed = make(map[string]struct{})
-		}
+		newNodeSets(b.n, sets...)
 		return b
 	}, nil
 }
@@ -123,7 +141,7 @@ func (b *brachaProc) Init(ctx sim.Context) {
 
 // Deliver implements sim.Process.
 func (b *brachaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) {
-	if m.Value > 1 {
+	if m.Value > 1 || namesOutsider(b.n, b.spoof, m) {
 		return
 	}
 	switch m.Kind {
@@ -183,9 +201,8 @@ func (b *brachaProc) deliverVal(ctx sim.Context, from, sender topology.NodeID, m
 	if m.Origin != b.source || (from != b.source && len(m.Path) == 0) {
 		return
 	}
-	key := fmt.Sprintf("V|%d", m.Value)
-	if _, done := b.relayed[key]; !done {
-		b.relayed[key] = struct{}{}
+	if !b.relayedVal[m.Value] {
+		b.relayedVal[m.Value] = true
 		ctx.Broadcast(m.ExtendPath(b.self))
 	}
 	b.echo(ctx, m.Value)
@@ -194,11 +211,14 @@ func (b *brachaProc) deliverVal(ctx sim.Context, from, sender topology.NodeID, m
 // relayOnce re-broadcasts a distinct signed ECHO/READY exactly once — the
 // signed flooding that lets quorums assemble across multi-hop topologies.
 func (b *brachaProc) relayOnce(ctx sim.Context, m sim.Message) {
-	key := fmt.Sprintf("%d|%d|%d", m.Kind, m.Origin, m.Value)
-	if _, done := b.relayed[key]; done {
+	signers := b.relayed[0][m.Value]
+	if m.Kind == sim.KindReady {
+		signers = b.relayed[1][m.Value]
+	}
+	if signers.Has(m.Origin) {
 		return
 	}
-	b.relayed[key] = struct{}{}
+	signers.Add(m.Origin)
 	ctx.Broadcast(m)
 }
 
@@ -216,10 +236,9 @@ func (b *brachaProc) echo(ctx sim.Context, v byte) {
 
 // addEcho records a distinct ECHO endorser; true means the tally changed.
 func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
-	if _, seen := b.echoes[v][id]; seen {
+	if !b.echoes[v].add(id) {
 		return false
 	}
-	b.echoes[v][id] = struct{}{}
 	if b.tr.Enabled() {
 		b.echoVoters[v] = append(b.echoVoters[v], id)
 	}
@@ -228,10 +247,9 @@ func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
 
 // addReady records a distinct READY endorser; true means the tally changed.
 func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
-	if _, seen := b.readies[v][id]; seen {
+	if !b.readies[v].add(id) {
 		return false
 	}
-	b.readies[v][id] = struct{}{}
 	if b.tr.Enabled() {
 		b.readyVoters[v] = append(b.readyVoters[v], id)
 	}
@@ -245,10 +263,10 @@ func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
 	if b.tr.Enabled() {
 		b.tr.EvidenceEval(ctx.Round(), b.self, b.source, v)
 	}
-	if !b.readied && (len(b.echoes[v]) >= b.n-b.f || len(b.readies[v]) >= b.f+1) {
+	if !b.readied && (b.echoes[v].n >= b.n-b.f || b.readies[v].n >= b.f+1) {
 		b.readied = true
 		b.readyVal = v
-		if b.tr.Enabled() && len(b.echoes[v]) >= b.n-b.f {
+		if b.tr.Enabled() && b.echoes[v].n >= b.n-b.f {
 			// The READY fired via the echo path: snapshot the quorum for
 			// the delivery certificate.
 			b.echoCert = append([]topology.NodeID(nil), b.echoVoters[v]...)
@@ -256,7 +274,7 @@ func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
 		ctx.Broadcast(sim.Message{Kind: sim.KindReady, Value: v, Origin: b.self})
 		b.addReady(b.self, v)
 	}
-	if !b.decided && len(b.readies[v]) >= 2*b.f+1 {
+	if !b.decided && b.readies[v].n >= 2*b.f+1 {
 		b.commit(ctx, v)
 	}
 }

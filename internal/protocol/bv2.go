@@ -28,14 +28,13 @@ type bv2Proc struct {
 	decided   bool
 	announced bool
 
+	// store also dedupes HEARD reports by (sender, origin): a report
+	// already recorded under either value is ignored (§V).
 	store *evidence.Store
 	// firstCommit dedupes contradictory COMMITTED retransmissions by
-	// sender (§V: accept the first version only).
-	firstCommit map[topology.NodeID]struct{}
-	// firstHeard dedupes HEARD reports by (sender, origin).
-	firstHeard map[[2]topology.NodeID]struct{}
-	// relayed tracks committers whose announcement we already reported.
-	relayed map[topology.NodeID]struct{}
+	// sender (§V: accept the first version only). A committer is reported
+	// exactly when it first enters this set.
+	firstCommit topology.NodeSet
 }
 
 // newBV2Factory builds two-hop protocol processes.
@@ -54,10 +53,8 @@ func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 			mc:          p.Metrics,
 			tr:          p.Trace,
 			value:       p.Value,
-			store:       evidence.NewStore(),
-			firstCommit: make(map[topology.NodeID]struct{}),
-			firstHeard:  make(map[[2]topology.NodeID]struct{}),
-			relayed:     make(map[topology.NodeID]struct{}),
+			store:       evidence.NewStore(net.Size()),
+			firstCommit: topology.NewNodeSet(net.Size()),
 		}
 	}, nil
 }
@@ -77,8 +74,8 @@ func (b *bv2Proc) Init(ctx sim.Context) {
 
 // Deliver implements sim.Process.
 func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) {
-	if m.Value > 1 {
-		return // not a binary broadcast value
+	if m.Value > 1 || namesOutsider(b.net.Size(), b.spoof, m) {
+		return // not a binary broadcast value, or names no node of the network
 	}
 	sender := attributedSender(b.spoof, from, m)
 	if b.tr.Enabled() && sender != from {
@@ -112,12 +109,10 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		if m.Origin == sender || m.Origin == b.self {
 			return
 		}
-		key := [2]topology.NodeID{sender, m.Origin}
-		if _, dup := b.firstHeard[key]; dup {
-			return
+		if b.store.Recorded(m.Origin, m.Path) {
+			return // first version wins, whatever its value (§V)
 		}
-		b.firstHeard[key] = struct{}{}
-		chain := evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: []topology.NodeID{sender}}
+		chain := evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}
 		b.store.Add(chain)
 		b.tryCommit(ctx, chain)
 	}
@@ -126,22 +121,18 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 // acceptCommitted processes a (first) commitment announcement from a
 // neighbor: record it, report it once, and re-evaluate the commit rule.
 func (b *bv2Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v byte) {
-	if _, dup := b.firstCommit[committer]; dup {
+	if b.firstCommit.Has(committer) {
 		return
 	}
-	b.firstCommit[committer] = struct{}{}
+	b.firstCommit.Add(committer)
 	b.store.AddDirect(committer, v)
-	direct := evidence.Chain{Origin: committer, Value: v}
-	if _, done := b.relayed[committer]; !done {
-		b.relayed[committer] = struct{}{}
-		ctx.Broadcast(sim.Message{
-			Kind:   sim.KindHeard,
-			Origin: committer,
-			Value:  v,
-			Path:   []topology.NodeID{b.self},
-		})
-	}
-	b.tryCommit(ctx, direct)
+	ctx.Broadcast(sim.Message{
+		Kind:   sim.KindHeard,
+		Origin: committer,
+		Value:  v,
+		Path:   []topology.NodeID{b.self},
+	})
+	b.tryCommit(ctx, evidence.Chain{Origin: committer, Value: v})
 }
 
 // tryCommit applies the §VI-B commit rule for the value of the newly

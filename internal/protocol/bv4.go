@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/etrace"
@@ -51,23 +50,18 @@ type bv4Proc struct {
 	decided   bool
 	announced bool
 
+	// store also dedupes HEARD: a chain already recorded for the same
+	// origin and relay path under either value makes a later version of
+	// that logical message a contradictory retransmission, ignored (§V).
 	store *evidence.Store
 	// firstCommit dedupes COMMITTED by sender.
-	firstCommit map[topology.NodeID]struct{}
-	// firstHeard dedupes HEARD by (sender, origin, relay path) — the value
-	// is deliberately excluded so contradictory retransmissions of the
-	// same logical message are ignored after the first (§V).
-	firstHeard map[heardKey]struct{}
-	// determined tracks reliably-determined (origin, value) pairs.
-	determined map[detKey]struct{}
+	firstCommit topology.NodeSet
+	// determined[v] holds the origins reliably determined to have
+	// committed v.
+	determined [2]topology.NodeSet
 	// counters[v][center] counts determined committers of value v in the
 	// closed neighborhood centered at center.
-	counters [2]map[topology.NodeID]int
-}
-
-type detKey struct {
-	origin topology.NodeID
-	value  byte
+	counters [2][]int32
 }
 
 // newBV4Factory builds indirect-report protocol processes.
@@ -94,27 +88,25 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			return nil, err
 		}
 	}
+	n := net.Size()
 	return func(id topology.NodeID) sim.Process {
-		return &bv4Proc{
-			self:        id,
-			source:      p.Source,
-			t:           p.T,
-			net:         net,
-			mode:        mode,
-			ft:          ft,
-			spoof:       p.SpoofingPossible,
-			mc:          p.Metrics,
-			tr:          p.Trace,
-			value:       p.Value,
-			store:       evidence.NewStore(),
-			firstCommit: make(map[topology.NodeID]struct{}),
-			firstHeard:  make(map[heardKey]struct{}),
-			determined:  make(map[detKey]struct{}),
-			counters: [2]map[topology.NodeID]int{
-				make(map[topology.NodeID]int),
-				make(map[topology.NodeID]int),
-			},
+		b := &bv4Proc{
+			self:   id,
+			source: p.Source,
+			t:      p.T,
+			net:    net,
+			mode:   mode,
+			ft:     ft,
+			spoof:  p.SpoofingPossible,
+			mc:     p.Metrics,
+			tr:     p.Trace,
+			value:  p.Value,
+			store:  evidence.NewStore(n),
 		}
+		newNodeSets(n, &b.firstCommit, &b.determined[0], &b.determined[1])
+		counters := make([]int32, 2*n)
+		b.counters = [2][]int32{counters[:n:n], counters[n:]}
+		return b
 	}, nil
 }
 
@@ -133,7 +125,7 @@ func (b *bv4Proc) Init(ctx sim.Context) {
 
 // Deliver implements sim.Process.
 func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) {
-	if m.Value > 1 {
+	if m.Value > 1 || namesOutsider(b.net.Size(), b.spoof, m) {
 		return
 	}
 	sender := attributedSender(b.spoof, from, m)
@@ -163,10 +155,10 @@ func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 
 // acceptCommitted handles a first-hand commitment announcement.
 func (b *bv4Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v byte) {
-	if _, dup := b.firstCommit[committer]; dup {
+	if b.firstCommit.Has(committer) {
 		return
 	}
-	b.firstCommit[committer] = struct{}{}
+	b.firstCommit.Add(committer)
 	b.store.AddDirect(committer, v)
 	b.onDetermined(ctx, committer, v)
 	// Report it: HEARD(self, committer, v), subject to earmarking.
@@ -203,14 +195,10 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 			}
 		}
 	}
-	key := newHeardKey(m.Origin, m.Path)
-	if _, dup := b.firstHeard[key]; dup {
-		return
+	if b.store.Recorded(m.Origin, m.Path) {
+		return // first version wins, whatever its value (§V)
 	}
-	b.firstHeard[key] = struct{}{}
-	relays := make([]topology.NodeID, n)
-	copy(relays, m.Path)
-	b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: relays})
+	b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path})
 
 	// Evaluate reliable determination for this (origin, value).
 	if b.isDetermined(ctx.Round(), m.Origin, m.Value) {
@@ -231,7 +219,7 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 
 // isDetermined applies the mode's reliable-determination rule.
 func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
-	if _, done := b.determined[detKey{origin: origin, value: v}]; done {
+	if b.determined[v].Has(origin) {
 		return false // already counted; avoid re-evaluation
 	}
 	b.mc.AddEvidenceEvals(round, 1)
@@ -248,15 +236,14 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 // onDetermined counts a newly reliably-determined committer and applies the
 // commit rule: t+1 determined committers of v inside one closed nbd.
 func (b *bv4Proc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte) {
-	k := detKey{origin: origin, value: v}
-	if _, done := b.determined[k]; done {
+	if b.determined[v].Has(origin) {
 		return
 	}
-	b.determined[k] = struct{}{}
+	b.determined[v].Add(origin)
 	commit := false
-	for _, center := range b.net.ClosedNbdIDs(b.net.CoordOf(origin)) {
+	for _, center := range b.net.Closed(origin) {
 		b.counters[v][center]++
-		if b.counters[v][center] >= b.t+1 {
+		if int(b.counters[v][center]) >= b.t+1 {
 			commit = true
 		}
 	}
@@ -313,20 +300,20 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 	need := b.t + 1
 	center := topology.None
 	for c, n := range b.counters[v] {
-		if n >= need && (center == topology.None || c < center) {
-			center = c // smallest qualifying center, deterministically
+		if int(n) >= need {
+			center = topology.NodeID(c) // smallest qualifying center
+			break
 		}
 	}
 	if center == topology.None {
 		return nil // defensive: the caller observed the quorum fire
 	}
-	var origins []topology.NodeID
-	for k := range b.determined {
-		if k.value == v && b.net.WithinClosed(center, k.origin) {
-			origins = append(origins, k.origin)
+	var origins []topology.NodeID // ascending, as ForEach visits them
+	b.determined[v].ForEach(func(origin topology.NodeID) {
+		if b.net.WithinClosed(center, origin) {
+			origins = append(origins, origin)
 		}
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
+	})
 	cert := &etrace.Certificate{
 		Rule: etrace.RuleQuorum, Value: v,
 		Center: center, HasCenter: true,
@@ -363,19 +350,6 @@ func (b *bv4Proc) Decided() (byte, bool) {
 		return 0, false
 	}
 	return b.value, true
-}
-
-// heardKey canonically identifies a logical HEARD message (value excluded,
-// so only the first of contradictory versions is accepted). The path is at
-// most sim.MaxHeardRelays long, so origin plus path fit in a comparable
-// array; unused slots hold topology.None, which no real relay can be.
-type heardKey [1 + sim.MaxHeardRelays]topology.NodeID
-
-// newHeardKey packs (origin, path) into a heardKey.
-func newHeardKey(origin topology.NodeID, path []topology.NodeID) heardKey {
-	k := heardKey{origin, topology.None, topology.None, topology.None}
-	copy(k[1:], path)
-	return k
 }
 
 var _ sim.Process = (*bv4Proc)(nil)

@@ -3,6 +3,7 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/evidence"
 	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -32,39 +33,58 @@ func TestBV4RejectsMalformedHeard(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	self := net.IDOf(grid.C(4, 4))
 	src := net.IDOf(grid.C(0, 0))
-	p := newBV4(t, net, self, src, 1, Exact)
-	ctx := &captureCtx{self: self}
 	origin := net.IDOf(grid.C(6, 4))
 	relay := net.IDOf(grid.C(5, 4))
+	outside := topology.NodeID(net.Size() + 3)
 
 	cases := []struct {
-		name string
-		m    sim.Message
-		from topology.NodeID
+		name  string
+		m     sim.Message
+		from  topology.NodeID
+		spoof bool // the receiver runs with SpoofingPossible
 	}{
-		{"empty path", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1}, relay},
+		{"empty path", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1}, relay, false},
 		{"oversized path", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
-			Path: []topology.NodeID{1, 2, 3, 4}}, 4},
+			Path: []topology.NodeID{1, 2, 3, 4}}, 4, false},
 		{"last relay is not the sender", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
-			Path: []topology.NodeID{relay}}, net.IDOf(grid.C(3, 4))},
+			Path: []topology.NodeID{relay}}, net.IDOf(grid.C(3, 4)), false},
 		{"origin inside the path", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
-			Path: []topology.NodeID{origin, relay}}, relay},
+			Path: []topology.NodeID{origin, relay}}, relay, false},
 		{"receiver inside the path", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
-			Path: []topology.NodeID{self, relay}}, relay},
+			Path: []topology.NodeID{self, relay}}, relay, false},
 		{"duplicate relay", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
-			Path: []topology.NodeID{relay, relay}}, relay},
+			Path: []topology.NodeID{relay, relay}}, relay, false},
 		{"report about the receiver itself", sim.Message{Kind: sim.KindHeard, Origin: self, Value: 1,
-			Path: []topology.NodeID{relay}}, relay},
+			Path: []topology.NodeID{relay}}, relay, false},
 		{"non-binary value", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 7,
-			Path: []topology.NodeID{relay}}, relay},
+			Path: []topology.NodeID{relay}}, relay, false},
+		{"origin is None", sim.Message{Kind: sim.KindHeard, Origin: topology.None, Value: 1,
+			Path: []topology.NodeID{relay}}, relay, false},
+		{"origin outside the network", sim.Message{Kind: sim.KindHeard, Origin: outside, Value: 1,
+			Path: []topology.NodeID{relay}}, relay, false},
+		{"relay outside the network", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
+			Path: []topology.NodeID{outside, relay}}, relay, false},
+		{"spoofed sender outside the network", sim.Message{Kind: sim.KindCommitted, Origin: outside, Value: 1,
+			Spoofed: true, Claimed: outside}, relay, true},
+		{"spoofed relay outside the network", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1,
+			Path: []topology.NodeID{outside}, Spoofed: true, Claimed: outside}, relay, true},
 	}
 	for _, tc := range cases {
+		factory, err := newBV4Factory(Params{Net: net, Source: src, Value: 1, T: 1, Mode: Exact, SpoofingPossible: tc.spoof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := factory(self).(*bv4Proc)
+		ctx := &captureCtx{self: self}
 		p.Deliver(ctx, tc.from, tc.m)
-		if got := len(p.store.Chains(origin, 1)) + len(p.store.Chains(self, 1)); got != 0 {
-			t.Errorf("%s: malformed HEARD was recorded", tc.name)
+		if got := len(p.store.ValueChains(0)) + len(p.store.ValueChains(1)); got != 0 {
+			t.Errorf("%s: malformed message was recorded", tc.name)
+		}
+		if p.firstCommit.Len()+p.determined[0].Len()+p.determined[1].Len() != 0 {
+			t.Errorf("%s: malformed message changed the commit state", tc.name)
 		}
 		if len(ctx.out) != 0 {
-			t.Errorf("%s: malformed HEARD was relayed: %v", tc.name, ctx.out)
+			t.Errorf("%s: malformed message was relayed: %v", tc.name, ctx.out)
 		}
 	}
 }
@@ -189,20 +209,30 @@ func TestBV4SourceValueCommitsNeighbor(t *testing.T) {
 	}
 }
 
+// TestHeardKeyDistinguishes pins the identity HEARD dedup keys on: the
+// store's value-blind lookup of (origin, relay path). A chain recorded
+// under either value makes the same origin and path a repeat; any other
+// origin or path is new.
 func TestHeardKeyDistinguishes(t *testing.T) {
-	a := newHeardKey(1, []topology.NodeID{2, 3})
-	variants := []heardKey{
-		newHeardKey(2, []topology.NodeID{2, 3}),
-		newHeardKey(1, []topology.NodeID{3, 2}),
-		newHeardKey(1, []topology.NodeID{2}),
-		newHeardKey(1, nil),
+	s := evidence.NewStore(8)
+	s.Add(evidence.Chain{Origin: 1, Value: 1, Relays: []topology.NodeID{2, 3}})
+	s.Add(evidence.Chain{Origin: 4, Value: 0, Relays: []topology.NodeID{5}})
+	if !s.Recorded(1, []topology.NodeID{2, 3}) || !s.Recorded(4, []topology.NodeID{5}) {
+		t.Error("identical keys must match under either value")
+	}
+	variants := []struct {
+		origin topology.NodeID
+		path   []topology.NodeID
+	}{
+		{2, []topology.NodeID{2, 3}},
+		{1, []topology.NodeID{3, 2}},
+		{1, []topology.NodeID{2}},
+		{1, nil},
+		{4, []topology.NodeID{5, 6}},
 	}
 	for i, v := range variants {
-		if v == a {
+		if s.Recorded(v.origin, v.path) {
 			t.Errorf("variant %d collides", i)
 		}
-	}
-	if newHeardKey(1, []topology.NodeID{2, 3}) != a {
-		t.Error("identical keys must match")
 	}
 }

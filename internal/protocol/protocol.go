@@ -130,6 +130,34 @@ func attributedSender(spoofingPossible bool, from topology.NodeID, m sim.Message
 	return from
 }
 
+// namesOutsider reports whether m names a node id outside [0, n): its
+// origin, a relay, or — when spoofing is possible and exercised — its
+// claimed sender. BV4, BV2 and Bracha index their per-process state by
+// these ids, so they drop such a message whole: no state change and no
+// broadcast.
+func namesOutsider(n int, spoofingPossible bool, m sim.Message) bool {
+	outside := func(id topology.NodeID) bool { return uint32(id) >= uint32(n) }
+	if outside(m.Origin) || (spoofingPossible && m.Spoofed && outside(m.Claimed)) {
+		return true
+	}
+	for _, id := range m.Path {
+		if outside(id) {
+			return true
+		}
+	}
+	return false
+}
+
+// newNodeSets points each of sets at an empty topology.NodeSet over the
+// ids [0, n), all carved from one allocation.
+func newNodeSets(n int, sets ...*topology.NodeSet) {
+	w := (n + 63) / 64
+	words := make([]uint64, w*len(sets))
+	for i, s := range sets {
+		*s = topology.NodeSet(words[i*w : (i+1)*w : (i+1)*w])
+	}
+}
+
 // torus returns the network as the grid family, or an error naming the
 // protocol when the run was configured on a non-torus graph. The BV4/BV2
 // chain machinery is inherently geometric — candidate neighborhood centers

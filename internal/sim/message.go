@@ -128,18 +128,6 @@ func (m Message) ExtendPath(relay topology.NodeID) Message {
 	return m
 }
 
-// Key returns a canonical string identity for deduplication: kind, origin,
-// value and full path. Two broadcasts with equal keys are the same logical
-// protocol message.
-func (m Message) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%d|%d|", m.Instance, m.Kind, m.Origin, m.Value)
-	for _, p := range m.Path {
-		fmt.Fprintf(&b, "%d,", p)
-	}
-	return b.String()
-}
-
 // String renders the message in the paper's notation.
 func (m Message) String() string {
 	switch m.Kind {

@@ -44,26 +44,6 @@ func TestExtendPathCopies(t *testing.T) {
 	}
 }
 
-func TestMessageKeyDistinguishes(t *testing.T) {
-	base := Message{Kind: KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}}
-	variants := []Message{
-		{Kind: KindCommitted, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}},
-		{Kind: KindHeard, Origin: 8, Value: 1, Path: []topology.NodeID{1, 2}},
-		{Kind: KindHeard, Origin: 7, Value: 0, Path: []topology.NodeID{1, 2}},
-		{Kind: KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{2, 1}},
-		{Kind: KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1}},
-	}
-	for i, v := range variants {
-		if v.Key() == base.Key() {
-			t.Errorf("variant %d has same key as base", i)
-		}
-	}
-	dup := Message{Kind: KindHeard, Origin: 7, Value: 1, Path: []topology.NodeID{1, 2}}
-	if dup.Key() != base.Key() {
-		t.Error("identical messages must share a key")
-	}
-}
-
 func TestMessageString(t *testing.T) {
 	tests := []struct {
 		m    Message
