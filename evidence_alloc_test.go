@@ -1,6 +1,7 @@
 package rbcast_test
 
 import (
+	"runtime"
 	"testing"
 
 	rbcast "repro"
@@ -11,15 +12,15 @@ import (
 // protocols' per-process state: one full rbcast.Run of a BV4, a BV2 and an
 // authenticated Bracha scenario. With map-backed dedup sets, string dedup
 // keys and per-evaluation packing buffers these runs allocated 33,824,
-// 33,650 and 15,952 times; the dense state (slab-backed evidence store,
-// NodeSet tallies, reused packing scratch) allocates 4,742, 6,272 and
-// 306. Each budget sits well above today's count and below half the
-// old one, so it trips on a return to per-message map churn without
-// flaking on incidental runtime changes.
+// 33,650 and 15,952 times; the slab-backed evidence store, the NodeIndex
+// per-node records, the NodeSet tallies and the reused packing scratch
+// allocate about 6,460, 6,410 and 306. Each budget sits well above today's
+// count and below half the old one, so it trips on a return to
+// per-message map churn without flaking on incidental runtime changes.
 func TestEvidenceProtocolAllocs(t *testing.T) {
 	budgets := map[string]float64{
-		"bv4/at/16x10r1":      7000,
-		"bv2/at/16x10r1":      9500,
+		"bv4/at/16x10r1":      9000,
+		"bv2/at/16x10r1":      9000,
 		"bracha-auth/rgg/n32": 600,
 	}
 	for _, sc := range scenarios.Matrix() {
@@ -40,5 +41,36 @@ func TestEvidenceProtocolAllocs(t *testing.T) {
 	}
 	for name := range budgets {
 		t.Errorf("scenario %s is not in the matrix", name)
+	}
+}
+
+// TestEvidenceProtocolMemoryIsLocal runs BV4 and BV2 on a 24×24 and a
+// 72×72 torus and requires the bytes allocated per node to stay flat. Each
+// process's state must follow the evidence it hears, which is local; when
+// it was sized to the network, the 72×72 runs allocated about four times
+// as much per node as the 24×24 ones.
+func TestEvidenceProtocolMemoryIsLocal(t *testing.T) {
+	// The fewer bytes of two runs: an allocation elsewhere in the process
+	// landing inside one run's window must not fail the test.
+	perNode := func(p rbcast.Protocol, side int) float64 {
+		cfg := rbcast.Config{Width: side, Height: side, Radius: 1, Protocol: p, Value: 1}
+		least := ^uint64(0)
+		for try := 0; try < 2; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := rbcast.Run(cfg, rbcast.FaultPlan{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return float64(least) / float64(side*side)
+	}
+	for _, p := range []rbcast.Protocol{rbcast.ProtocolBV4, rbcast.ProtocolBV2} {
+		small, large := perNode(p, 24), perNode(p, 72)
+		t.Logf("%s: %.0f bytes per node at 24×24, %.0f at 72×72", p, small, large)
+		if large > 1.25*small {
+			t.Errorf("%s: %.0f bytes per node at 72×72 against %.0f at 24×24 — per-process state grows with the network", p, large, small)
+		}
 	}
 }

@@ -17,16 +17,17 @@ import (
 
 // packer is the scratch every packing evaluation over one store reuses:
 // the compact node index, the chain masks, the candidate lists and the
-// branch-and-bound state. Once its buffers have grown to the store's
-// working size an evaluation allocates nothing. Results are only valid
-// until the next call on the same packer.
+// branch-and-bound state. Its buffers grow with the evidence evaluated,
+// never with the network, and once they have reached the store's working
+// size an evaluation allocates nothing. Results are only valid until the
+// next call on the same packer.
 type packer struct {
-	bit     []int32           // node id → compact bit index + 1; 0 = unindexed
-	nodes   []topology.NodeID // ids indexed by the current chainMasks call
-	backing []uint64          // the chain masks' words
-	masks   [][]uint64        // one mask per chain, over backing
-	usable  [][]uint64        // the masks one candidate center admits
-	centers []grid.Coord      // candidate neighborhood centers
+	index   topology.NodeIndex // node id → compact bit index, per chainMasks call
+	bits    []int32            // each id occurrence's bit index, in chain order
+	backing []uint64           // the chain masks' words
+	masks   [][]uint64         // one mask per chain, over backing
+	usable  [][]uint64         // the masks one candidate center admits
+	centers []grid.Coord       // candidate neighborhood centers
 	// maxDisjoint's state: the surviving candidates smallest first, their
 	// popcounts, domination flags, the chosen union and the incumbent.
 	cand   [][]uint64
@@ -100,52 +101,39 @@ func zeroed(buf []uint64, n int) []uint64 {
 // chainMasks packs the chains' node sets into bitmasks over a compact
 // index of the nodes that occur. withOrigin selects whether a chain's
 // origin participates in its set (the §VI-B whole-chain rule) or only its
-// relays (the §VI internal-disjointness rule). Node ids must be
-// non-negative.
+// relays (the §VI internal-disjointness rule).
 func (p *packer) chainMasks(chains []Chain, withOrigin bool) ([][]uint64, int) {
-	// First pass: build the compact index so the word width is known.
+	// First pass: number every node so the word width is known,
+	// remembering each occurrence's number for the second.
+	p.index.Reset()
+	p.bits = p.bits[:0]
 	for _, c := range chains {
 		if withOrigin {
-			p.index(c.Origin)
+			b, _ := p.index.Put(c.Origin)
+			p.bits = append(p.bits, b)
 		}
 		for _, rel := range c.Relays {
-			p.index(rel)
+			b, _ := p.index.Put(rel)
+			p.bits = append(p.bits, b)
 		}
 	}
-	words := max((len(p.nodes)+63)/64, 1)
+	words := max((p.index.Len()+63)/64, 1)
 	p.backing = zeroed(p.backing, len(chains)*words)
 	p.masks = reserve(p.masks, len(chains))
+	bits := p.bits
 	for i, c := range chains {
 		m := p.backing[i*words : (i+1)*words : (i+1)*words]
+		k := len(c.Relays)
 		if withOrigin {
-			setBit(m, p.bit[c.Origin]-1)
+			k++
 		}
-		for _, rel := range c.Relays {
-			setBit(m, p.bit[rel]-1)
+		for _, b := range bits[:k] {
+			m[b>>6] |= 1 << (uint(b) & 63)
 		}
+		bits = bits[k:]
 		p.masks = append(p.masks, m)
 	}
-	for _, id := range p.nodes {
-		p.bit[id] = 0
-	}
-	p.nodes = p.nodes[:0]
 	return p.masks, words
-}
-
-// index gives id the next compact bit index unless it already has one.
-func (p *packer) index(id topology.NodeID) {
-	if int(id) >= len(p.bit) {
-		p.bit = append(p.bit, make([]int32, int(id)+1-len(p.bit))...)
-	}
-	if p.bit[id] == 0 {
-		p.nodes = append(p.nodes, id)
-		p.bit[id] = int32(len(p.nodes))
-	}
-}
-
-// setBit sets bit b of mask m.
-func setBit(m []uint64, b int32) {
-	m[b>>6] |= 1 << (uint(b) & 63)
 }
 
 // maxDisjoint computes the exact maximum pairwise-disjoint subfamily of

@@ -18,15 +18,16 @@ type Chain struct {
 }
 
 // Store accumulates the chains a node has recorded for the binary values 0
-// and 1 about origins in [0, n). One dense index over origin ids leads to
-// both values' chain lists, and a per-value list of all evidence (relayed
+// and 1. An index over the origins it has heard about leads to both
+// values' chain lists, and a per-value list of all evidence (relayed
 // chains plus direct receptions as relay-free chains) serves the
 // single-neighborhood commit rule without re-gathering. Chain lists and
 // relay ids live in two shared slabs, so recording a chain allocates only
-// when a slab fills. A Store is not safe for concurrent use. The zero
-// value is not usable; create with NewStore.
+// when a slab or the index fills. Everything grows with the evidence
+// recorded, never with the network. A Store is not safe for concurrent
+// use.
 type Store struct {
-	slot    []int32 // origin → 1 + position in origins; 0 = nothing recorded
+	slot    topology.NodeIndex // origin → position in origins
 	origins []originEvidence
 	byValue [2][]Chain
 	// chainSlab backs every chain list; relaySlab backs every recorded
@@ -42,42 +43,44 @@ type originEvidence struct {
 	direct [2]bool    // COMMITTED heard directly from the origin
 }
 
-// NewStore creates an empty evidence store for origins in [0, n).
-func NewStore(n int) *Store {
-	return &Store{slot: make([]int32, n)}
+// NewStore creates an empty evidence store.
+func NewStore() *Store {
+	return &Store{}
 }
 
 // find returns the origin's evidence, or nil when none is recorded.
 func (s *Store) find(origin topology.NodeID) *originEvidence {
-	if uint(origin) < uint(len(s.slot)) && s.slot[origin] != 0 {
-		return &s.origins[s.slot[origin]-1]
+	if i, ok := s.slot.Lookup(origin); ok {
+		return &s.origins[i]
 	}
 	return nil
 }
 
-// entry returns the origin's evidence, creating it when absent. The origin
-// must lie in [0, n).
+// entry returns the origin's evidence, creating it when absent.
 func (s *Store) entry(origin topology.NodeID) *originEvidence {
-	if s.slot[origin] == 0 {
+	i, added := s.slot.Put(origin)
+	if added {
 		s.origins = append(s.origins, originEvidence{})
-		s.slot[origin] = int32(len(s.origins))
 	}
-	return &s.origins[s.slot[origin]-1]
+	return &s.origins[i]
 }
 
 // AddDirect records that the node heard COMMITTED(origin, value) on the
-// channel itself — unforgeable, so it needs no disjoint-path corroboration.
-// Origins outside [0, n) and values other than 0 and 1 are ignored.
-func (s *Store) AddDirect(origin topology.NodeID, value byte) {
-	if value > 1 || uint(origin) >= uint(len(s.slot)) {
-		return
+// channel itself — unforgeable, so it needs no disjoint-path corroboration
+// — unless a direct reception from origin is already recorded under either
+// value: the first version wins (§V). It returns true when the reception
+// was recorded. Values other than 0 and 1 are ignored.
+func (s *Store) AddDirect(origin topology.NodeID, value byte) bool {
+	if value > 1 {
+		return false
 	}
 	e := s.entry(origin)
-	if e.direct[value] {
-		return
+	if e.direct[0] || e.direct[1] {
+		return false
 	}
 	e.direct[value] = true
 	s.byValue[value] = s.appendChain(s.byValue[value], Chain{Origin: origin, Value: value})
+	return true
 }
 
 // HasDirect reports whether COMMITTED(origin, value) was heard directly.
@@ -86,42 +89,26 @@ func (s *Store) HasDirect(origin topology.NodeID, value byte) bool {
 	return e != nil && value <= 1 && e.direct[value]
 }
 
-// Add records a relayed chain, ignoring exact duplicates (same origin,
-// value and relay sequence), origins outside [0, n) and values other than
-// 0 and 1. It returns true when the chain was new. The relays are copied;
-// c.Relays is not retained.
+// Add records a relayed chain unless a chain from the same origin with the
+// same relay sequence is already recorded under either value — the first
+// version wins (§V) — or the value is not 0 or 1. It returns true when the
+// chain was recorded. The relays are copied; c.Relays is not retained.
 func (s *Store) Add(c Chain) bool {
-	if c.Value > 1 || uint(c.Origin) >= uint(len(s.slot)) {
+	if c.Value > 1 {
 		return false
 	}
 	e := s.entry(c.Origin)
-	for _, old := range e.chains[c.Value] {
-		if slices.Equal(old.Relays, c.Relays) {
-			return false
+	for _, chains := range e.chains {
+		for _, old := range chains {
+			if slices.Equal(old.Relays, c.Relays) {
+				return false
+			}
 		}
 	}
 	c.Relays = s.copyRelays(c.Relays)
 	e.chains[c.Value] = s.appendChain(e.chains[c.Value], c)
 	s.byValue[c.Value] = s.appendChain(s.byValue[c.Value], c)
 	return true
-}
-
-// Recorded reports whether a relayed chain from origin with exactly these
-// relays is recorded under either value — the value-blind lookup behind
-// the protocols' first-version-wins HEARD dedup (§V).
-func (s *Store) Recorded(origin topology.NodeID, relays []topology.NodeID) bool {
-	e := s.find(origin)
-	if e == nil {
-		return false
-	}
-	for _, chains := range e.chains {
-		for _, c := range chains {
-			if slices.Equal(c.Relays, relays) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Chains returns the recorded relayed chains for (origin, value), in

@@ -17,7 +17,7 @@ func testNet(t *testing.T, w, h, r int) *topology.Network {
 }
 
 func TestStoreDedup(t *testing.T) {
-	s := NewStore(16)
+	s := NewStore()
 	c := Chain{Origin: 5, Value: 1, Relays: []topology.NodeID{2, 3}}
 	if !s.Add(c) {
 		t.Error("first add must succeed")
@@ -25,27 +25,47 @@ func TestStoreDedup(t *testing.T) {
 	if s.Add(c) {
 		t.Error("duplicate add must be rejected")
 	}
-	// Same relays, different value: distinct.
+	// Same origin and relays under the other value: the first version
+	// wins (§V), so the store keeps only the value-1 chain.
 	c2 := c
 	c2.Value = 0
-	if !s.Add(c2) {
-		t.Error("different value is a distinct chain")
+	if s.Add(c2) {
+		t.Error("a contradictory version of a recorded chain must be rejected")
 	}
-	if len(s.Chains(5, 1)) != 1 || len(s.Chains(5, 0)) != 1 {
+	if len(s.Chains(5, 1)) != 1 || len(s.Chains(5, 0)) != 0 {
 		t.Error("chains misfiled")
+	}
+	// Any other origin or relay sequence is a new chain.
+	for i, v := range []Chain{
+		{Origin: 2, Value: 0, Relays: []topology.NodeID{2, 3}},
+		{Origin: 5, Value: 0, Relays: []topology.NodeID{2}},
+		{Origin: 5, Value: 0, Relays: []topology.NodeID{2, 3, 4}},
+		{Origin: 5, Value: 0, Relays: nil},
+	} {
+		if !s.Add(v) {
+			t.Errorf("variant %d collides", i)
+		}
 	}
 }
 
 func TestStoreDirect(t *testing.T) {
-	s := NewStore(16)
-	s.AddDirect(7, 1)
+	s := NewStore()
+	if !s.AddDirect(7, 1) {
+		t.Error("first direct reception must be recorded")
+	}
+	if s.AddDirect(7, 1) || s.AddDirect(7, 0) {
+		t.Error("a repeated or contradictory direct reception must be rejected")
+	}
 	if !s.HasDirect(7, 1) || s.HasDirect(7, 0) || s.HasDirect(8, 1) {
 		t.Error("direct bookkeeping wrong")
+	}
+	if got := len(s.ValueChains(1)) + len(s.ValueChains(0)); got != 1 {
+		t.Errorf("recorded %d direct receptions, want 1", got)
 	}
 }
 
 func TestChainKeyDistinguishesOrder(t *testing.T) {
-	s := NewStore(16)
+	s := NewStore()
 	if !s.Add(Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{2, 3}}) {
 		t.Fatal("first add must succeed")
 	}
@@ -60,7 +80,7 @@ func TestChainKeyDistinguishesOrder(t *testing.T) {
 }
 
 func TestStoreCopiesRelays(t *testing.T) {
-	s := NewStore(16)
+	s := NewStore()
 	relays := []topology.NodeID{4, 5}
 	s.Add(Chain{Origin: 1, Value: 1, Relays: relays})
 	relays[0] = 9
@@ -115,7 +135,7 @@ func TestMaxDisjointChainsEarlyExit(t *testing.T) {
 
 func TestDeterminedExactDirect(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.AddDirect(5, 1)
 	if !DeterminedExact(net, s, 0, 5, 1, 99) {
 		t.Error("direct hearing determines regardless of need")
@@ -129,7 +149,7 @@ func TestDeterminedExactViaChains(t *testing.T) {
 	origin := net.IDOf(grid.C(4, 2)) // distance 2: both in nbd centered (3,2)
 	relayA := net.IDOf(grid.C(3, 1))
 	relayB := net.IDOf(grid.C(3, 3))
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayA}})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("one chain cannot satisfy need=2")
@@ -150,7 +170,7 @@ func TestDeterminedExactRejectsSharedRelay(t *testing.T) {
 	origin := net.IDOf(grid.C(4, 2))
 	shared := net.IDOf(grid.C(3, 2))
 	far := net.IDOf(grid.C(3, 1))
-	s := NewStore(net.Size())
+	s := NewStore()
 	// Two chains sharing their only relay: max packing is 1.
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared, far}})
@@ -167,7 +187,7 @@ func TestDeterminedExactRequiresSingleNeighborhood(t *testing.T) {
 	origin := net.IDOf(grid.C(7, 5))
 	nearRelay := net.IDOf(grid.C(6, 5))
 	farRelay := net.IDOf(grid.C(6, 9)) // outside every candidate nbd
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{nearRelay}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{farRelay}})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
@@ -181,7 +201,7 @@ func TestCommitSingleLevel(t *testing.T) {
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(3, 2))
 	o2 := net.IDOf(grid.C(3, 3))
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.AddDirect(o1, 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
 		t.Error("single chain insufficient")
@@ -198,7 +218,7 @@ func TestCommitSingleLevelDisjointness(t *testing.T) {
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(4, 2))
 	o2 := net.IDOf(grid.C(3, 2)) // o2 is also the relay of o1's chain
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{o2}})
 	s.AddDirect(o2, 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
@@ -216,7 +236,7 @@ func TestCommitSingleLevelIgnoresLongChains(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(3, 2))
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{
 		net.IDOf(grid.C(3, 3)), net.IDOf(grid.C(2, 3)),
 	}})
@@ -326,7 +346,7 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 	if len(relPaths) != r*(2*r+1) {
 		t.Fatalf("offset %v: %d designated paths", d, len(relPaths))
 	}
-	s := NewStore(net.Size())
+	s := NewStore()
 	if got := ft.ConfirmedPaths(net, s, recv, origin, 1); got != 0 {
 		t.Fatalf("no chains: confirmed = %d", got)
 	}
@@ -350,7 +370,7 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 		t.Error("wrong value must not be determined")
 	}
 	// Direct hearing shortcut.
-	s2 := NewStore(net.Size())
+	s2 := NewStore()
 	s2.AddDirect(origin, 1)
 	if !DeterminedDesignated(net, ft, s2, recv, origin, 1, need) {
 		t.Error("direct hearing determines")

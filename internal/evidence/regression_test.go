@@ -19,7 +19,7 @@ func TestCommitSingleLevelRoleMixingRegression(t *testing.T) {
 	}
 	id := func(x, y int) topology.NodeID { return net.IDOf(grid.C(x, y)) }
 	recv := id(12, 3)
-	s := NewStore(net.Size())
+	s := NewStore()
 	s.Add(Chain{Origin: id(0, 1), Value: 0, Relays: []topology.NodeID{id(13, 2)}})
 	s.Add(Chain{Origin: id(13, 1), Value: 0, Relays: []topology.NodeID{id(12, 2)}})
 	s.AddDirect(id(13, 2), 0)

@@ -74,14 +74,24 @@ type brachaProc struct {
 	echoCert    []topology.NodeID
 }
 
-// tally is one value's set of distinct endorsers and its size.
+// tally is one value's set of distinct endorsers and its size. Signed
+// flooding brings every signer's endorsement to every process, so the
+// authenticated variant keeps a bitset over the whole network; a plain
+// process hears its neighbors only and indexes just the endorsers it
+// hears, so its state does not grow with the network.
 type tally struct {
-	ids topology.NodeSet
-	n   int
+	ids   topology.NodeSet   // authenticated variant
+	heard topology.NodeIndex // plain variant
+	n     int
 }
 
 // add records an endorser; true means the tally changed.
 func (t *tally) add(id topology.NodeID) bool {
+	if t.ids == nil {
+		_, added := t.heard.Put(id)
+		t.n = t.heard.Len()
+		return added
+	}
 	if t.ids.Has(id) {
 		return false
 	}
@@ -109,12 +119,10 @@ func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 			mc:     p.Metrics,
 			tr:     p.Trace,
 		}
-		sets := []*topology.NodeSet{&b.echoes[0].ids, &b.echoes[1].ids, &b.readies[0].ids, &b.readies[1].ids,
-			&b.relayed[0][0], &b.relayed[0][1], &b.relayed[1][0], &b.relayed[1][1]}
-		if !auth {
-			sets = sets[:4] // only signed flooding needs the relayed sets
+		if auth {
+			newNodeSets(b.n, &b.echoes[0].ids, &b.echoes[1].ids, &b.readies[0].ids, &b.readies[1].ids,
+				&b.relayed[0][0], &b.relayed[0][1], &b.relayed[1][0], &b.relayed[1][1])
 		}
-		newNodeSets(b.n, sets...)
 		return b
 	}, nil
 }

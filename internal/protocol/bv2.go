@@ -28,13 +28,12 @@ type bv2Proc struct {
 	decided   bool
 	announced bool
 
-	// store also dedupes HEARD reports by (sender, origin): a report
-	// already recorded under either value is ignored (§V).
+	// store also dedupes COMMITTED by sender and HEARD reports by
+	// (sender, origin): it records only the first version of each,
+	// whatever its value, so later contradictory retransmissions are
+	// ignored (§V). A committer is reported exactly when its first
+	// COMMITTED is recorded.
 	store *evidence.Store
-	// firstCommit dedupes contradictory COMMITTED retransmissions by
-	// sender (§V: accept the first version only). A committer is reported
-	// exactly when it first enters this set.
-	firstCommit topology.NodeSet
 }
 
 // newBV2Factory builds two-hop protocol processes.
@@ -45,16 +44,15 @@ func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 	}
 	return func(id topology.NodeID) sim.Process {
 		return &bv2Proc{
-			self:        id,
-			source:      p.Source,
-			t:           p.T,
-			net:         net,
-			spoof:       p.SpoofingPossible,
-			mc:          p.Metrics,
-			tr:          p.Trace,
-			value:       p.Value,
-			store:       evidence.NewStore(net.Size()),
-			firstCommit: topology.NewNodeSet(net.Size()),
+			self:   id,
+			source: p.Source,
+			t:      p.T,
+			net:    net,
+			spoof:  p.SpoofingPossible,
+			mc:     p.Metrics,
+			tr:     p.Trace,
+			value:  p.Value,
+			store:  evidence.NewStore(),
 		}
 	}, nil
 }
@@ -109,11 +107,10 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		if m.Origin == sender || m.Origin == b.self {
 			return
 		}
-		if b.store.Recorded(m.Origin, m.Path) {
+		chain := evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}
+		if !b.store.Add(chain) {
 			return // first version wins, whatever its value (§V)
 		}
-		chain := evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}
-		b.store.Add(chain)
 		b.tryCommit(ctx, chain)
 	}
 }
@@ -121,11 +118,9 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 // acceptCommitted processes a (first) commitment announcement from a
 // neighbor: record it, report it once, and re-evaluate the commit rule.
 func (b *bv2Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v byte) {
-	if b.firstCommit.Has(committer) {
-		return
+	if !b.store.AddDirect(committer, v) {
+		return // first version wins, whatever its value (§V)
 	}
-	b.firstCommit.Add(committer)
-	b.store.AddDirect(committer, v)
 	ctx.Broadcast(sim.Message{
 		Kind:   sim.KindHeard,
 		Origin: committer,

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/etrace"
@@ -50,18 +51,26 @@ type bv4Proc struct {
 	decided   bool
 	announced bool
 
-	// store also dedupes HEARD: a chain already recorded for the same
-	// origin and relay path under either value makes a later version of
-	// that logical message a contradictory retransmission, ignored (§V).
+	// store also dedupes COMMITTED by sender and HEARD by (origin, relay
+	// path): it records only the first version of each, whatever its
+	// value, so later contradictory retransmissions are ignored (§V).
 	store *evidence.Store
-	// firstCommit dedupes COMMITTED by sender.
-	firstCommit topology.NodeSet
-	// determined[v] holds the origins reliably determined to have
-	// committed v.
-	determined [2]topology.NodeSet
-	// counters[v][center] counts determined committers of value v in the
-	// closed neighborhood centered at center.
-	counters [2][]int32
+	// local indexes nodes by node id. It holds only the origins and
+	// neighborhood centers the commit rule has touched, so the state grows
+	// with the evidence the process hears, not with the network.
+	local topology.NodeIndex
+	nodes []bv4Node
+}
+
+// bv4Node is the commit-rule state of one node.
+type bv4Node struct {
+	id topology.NodeID
+	// determined[v]: the node, as an origin, is reliably determined to
+	// have committed v.
+	determined [2]bool
+	// count[v] counts the determined committers of v in the closed
+	// neighborhood centered at the node.
+	count [2]int32
 }
 
 // newBV4Factory builds indirect-report protocol processes.
@@ -88,9 +97,8 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			return nil, err
 		}
 	}
-	n := net.Size()
 	return func(id topology.NodeID) sim.Process {
-		b := &bv4Proc{
+		return &bv4Proc{
 			self:   id,
 			source: p.Source,
 			t:      p.T,
@@ -101,12 +109,8 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			mc:     p.Metrics,
 			tr:     p.Trace,
 			value:  p.Value,
-			store:  evidence.NewStore(n),
+			store:  evidence.NewStore(),
 		}
-		newNodeSets(n, &b.firstCommit, &b.determined[0], &b.determined[1])
-		counters := make([]int32, 2*n)
-		b.counters = [2][]int32{counters[:n:n], counters[n:]}
-		return b
 	}, nil
 }
 
@@ -155,11 +159,9 @@ func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 
 // acceptCommitted handles a first-hand commitment announcement.
 func (b *bv4Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v byte) {
-	if b.firstCommit.Has(committer) {
-		return
+	if !b.store.AddDirect(committer, v) {
+		return // first version wins, whatever its value (§V)
 	}
-	b.firstCommit.Add(committer)
-	b.store.AddDirect(committer, v)
 	b.onDetermined(ctx, committer, v)
 	// Report it: HEARD(self, committer, v), subject to earmarking.
 	if b.shouldRelay(committer, []topology.NodeID{b.self}) {
@@ -195,10 +197,9 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 			}
 		}
 	}
-	if b.store.Recorded(m.Origin, m.Path) {
+	if !b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}) {
 		return // first version wins, whatever its value (§V)
 	}
-	b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path})
 
 	// Evaluate reliable determination for this (origin, value).
 	if b.isDetermined(ctx.Round(), m.Origin, m.Value) {
@@ -219,7 +220,7 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 
 // isDetermined applies the mode's reliable-determination rule.
 func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
-	if b.determined[v].Has(origin) {
+	if i, ok := b.local.Lookup(origin); ok && b.nodes[i].determined[v] {
 		return false // already counted; avoid re-evaluation
 	}
 	b.mc.AddEvidenceEvals(round, 1)
@@ -236,20 +237,32 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 // onDetermined counts a newly reliably-determined committer and applies the
 // commit rule: t+1 determined committers of v inside one closed nbd.
 func (b *bv4Proc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte) {
-	if b.determined[v].Has(origin) {
+	o := b.node(origin)
+	if o.determined[v] {
 		return
 	}
-	b.determined[v].Add(origin)
+	o.determined[v] = true
 	commit := false
 	for _, center := range b.net.Closed(origin) {
-		b.counters[v][center]++
-		if int(b.counters[v][center]) >= b.t+1 {
+		c := b.node(center)
+		c.count[v]++
+		if int(c.count[v]) >= b.t+1 {
 			commit = true
 		}
 	}
 	if commit && !b.decided {
 		b.commit(ctx, v, b.quorumCert(v))
 	}
+}
+
+// node returns id's commit-rule state, creating it when absent. The
+// pointer is valid until the next call.
+func (b *bv4Proc) node(id topology.NodeID) *bv4Node {
+	i, added := b.local.Put(id)
+	if added {
+		b.nodes = append(b.nodes, bv4Node{id: id})
+	}
+	return &b.nodes[i]
 }
 
 // shouldRelay applies the earmarking filter: in exact mode everything under
@@ -299,21 +312,21 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 	}
 	need := b.t + 1
 	center := topology.None
-	for c, n := range b.counters[v] {
-		if int(n) >= need {
-			center = topology.NodeID(c) // smallest qualifying center
-			break
+	for _, c := range b.nodes {
+		if int(c.count[v]) >= need && (center == topology.None || c.id < center) {
+			center = c.id // smallest qualifying center, deterministically
 		}
 	}
 	if center == topology.None {
 		return nil // defensive: the caller observed the quorum fire
 	}
-	var origins []topology.NodeID // ascending, as ForEach visits them
-	b.determined[v].ForEach(func(origin topology.NodeID) {
-		if b.net.WithinClosed(center, origin) {
-			origins = append(origins, origin)
+	var origins []topology.NodeID
+	for _, o := range b.nodes {
+		if o.determined[v] && b.net.WithinClosed(center, o.id) {
+			origins = append(origins, o.id)
 		}
-	})
+	}
+	slices.Sort(origins)
 	cert := &etrace.Certificate{
 		Rule: etrace.RuleQuorum, Value: v,
 		Center: center, HasCenter: true,

@@ -80,7 +80,7 @@ func TestBV4RejectsMalformedHeard(t *testing.T) {
 		if got := len(p.store.ValueChains(0)) + len(p.store.ValueChains(1)); got != 0 {
 			t.Errorf("%s: malformed message was recorded", tc.name)
 		}
-		if p.firstCommit.Len()+p.determined[0].Len()+p.determined[1].Len() != 0 {
+		if p.local.Len() != 0 {
 			t.Errorf("%s: malformed message changed the commit state", tc.name)
 		}
 		if len(ctx.out) != 0 {
@@ -210,15 +210,18 @@ func TestBV4SourceValueCommitsNeighbor(t *testing.T) {
 }
 
 // TestHeardKeyDistinguishes pins the identity HEARD dedup keys on: the
-// store's value-blind lookup of (origin, relay path). A chain recorded
+// store's value-blind insert of (origin, relay path). A chain recorded
 // under either value makes the same origin and path a repeat; any other
 // origin or path is new.
 func TestHeardKeyDistinguishes(t *testing.T) {
-	s := evidence.NewStore(8)
+	s := evidence.NewStore()
 	s.Add(evidence.Chain{Origin: 1, Value: 1, Relays: []topology.NodeID{2, 3}})
 	s.Add(evidence.Chain{Origin: 4, Value: 0, Relays: []topology.NodeID{5}})
-	if !s.Recorded(1, []topology.NodeID{2, 3}) || !s.Recorded(4, []topology.NodeID{5}) {
-		t.Error("identical keys must match under either value")
+	for _, v := range []byte{0, 1} {
+		if s.Add(evidence.Chain{Origin: 1, Value: v, Relays: []topology.NodeID{2, 3}}) ||
+			s.Add(evidence.Chain{Origin: 4, Value: v, Relays: []topology.NodeID{5}}) {
+			t.Errorf("identical keys must match under value %d", v)
+		}
 	}
 	variants := []struct {
 		origin topology.NodeID
@@ -231,7 +234,7 @@ func TestHeardKeyDistinguishes(t *testing.T) {
 		{4, []topology.NodeID{5, 6}},
 	}
 	for i, v := range variants {
-		if s.Recorded(v.origin, v.path) {
+		if !s.Add(evidence.Chain{Origin: v.origin, Value: 1, Relays: v.path}) {
 			t.Errorf("variant %d collides", i)
 		}
 	}

@@ -15,7 +15,7 @@
 // All honest processes enforce the medium's assumptions defensively: a
 // COMMITTED message's origin is its authenticated sender; a HEARD message's
 // last relay must be its sender; and for contradictory retransmissions only
-// the first version is accepted (§V). BV4, BV2 and Bracha keep dense
-// per-node state, so they drop any message that names a node id outside
-// the network.
+// the first version is accepted (§V). BV4, BV2 and Bracha drop any
+// message that names a node id outside the network: such an id has no
+// grid coordinate and no place in a tally.
 package protocol

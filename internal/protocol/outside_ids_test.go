@@ -44,7 +44,7 @@ func TestBV2RejectsOutsideIDs(t *testing.T) {
 		if got := len(p.store.ValueChains(0)) + len(p.store.ValueChains(1)); got != 0 {
 			t.Errorf("%s: message was recorded", tc.name)
 		}
-		if p.firstCommit.Len() != 0 {
+		if _, ok := p.Decided(); ok {
 			t.Errorf("%s: message changed the commit state", tc.name)
 		}
 		if len(ctx.out) != 0 {

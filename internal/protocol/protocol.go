@@ -132,9 +132,9 @@ func attributedSender(spoofingPossible bool, from topology.NodeID, m sim.Message
 
 // namesOutsider reports whether m names a node id outside [0, n): its
 // origin, a relay, or — when spoofing is possible and exercised — its
-// claimed sender. BV4, BV2 and Bracha index their per-process state by
-// these ids, so they drop such a message whole: no state change and no
-// broadcast.
+// claimed sender. BV4 and BV2 map these ids to grid coordinates and
+// authenticated Bracha indexes bitsets by them, so they drop such a
+// message whole: no state change and no broadcast.
 func namesOutsider(n int, spoofingPossible bool, m sim.Message) bool {
 	outside := func(id topology.NodeID) bool { return uint32(id) >= uint32(n) }
 	if outside(m.Origin) || (spoofingPossible && m.Spoofed && outside(m.Claimed)) {
