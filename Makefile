@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: verify ci build vet test race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cluster-smoke cluster-bench cover bench bench-smoke bench-sweep bench-diff bench-serve
+.PHONY: verify ci build vet test bench-module race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-diff bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
-# request: tier-1 (build + test) plus vet, the race detector across every
-# package, the rbcastd serving smoke test, the execution-trace smoke test,
-# the saturation/backpressure smoke test, the /v1/sweep planner smoke test,
-# the flight-recorder/live-progress smoke test, the 3-node fleet smoke
-# test, and the benchmark-scenario golden-hash smoke. The full benchmark
-# suite, bench-sweep, bench-diff, and cluster-bench stay out — they need a
-# quiet machine and run in the nightly workflow instead.
-ci: build vet test race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cluster-smoke bench-smoke
+# request: tier-1 (build + test) plus vet, vet and tests of the bench/
+# module, the race detector across every package, the rbcastd serving
+# smoke test, the execution-trace smoke test, the saturation/backpressure
+# smoke test, the /v1/sweep planner smoke test, the flight-recorder/
+# live-progress smoke test, and the benchmark-scenario golden-hash smoke.
+# The full benchmark suite, bench-sweep, bench-diff, and bench-serve stay
+# out — they need a quiet machine and run in the nightly workflow instead.
+ci: build vet test bench-module race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
 verify: ci
@@ -23,6 +23,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests the serving benchmark harness. bench/ is its
+# own Go module, so the root ./... patterns above never reach it; without
+# this step a server API change that breaks the harness would only fail in
+# the nightly bench-serve job.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -67,24 +74,6 @@ obs-smoke:
 # sweep counters show on /metrics.
 sweep-smoke:
 	GO="$(GO)" sh scripts/sweep_smoke.sh
-
-# cluster-smoke boots a 3-node rbcastd fleet sharing one -peers list and
-# drives cmd/loadgen's cluster phases: seed (every fingerprint resident on
-# exactly its ring owner, misdirected requests crossing the fleet proxy),
-# failover (the fleet answers the whole set with a member killed), and
-# warm (the restarted member serves its shard from sibling caches with
-# zero re-simulations).
-cluster-smoke:
-	GO="$(GO)" sh scripts/cluster_smoke.sh
-
-# cluster-bench measures loadgen -throughput against one rbcastd and then
-# a 3-node fleet (every daemon pinned to GOMAXPROCS=1 so each member
-# models one machine's capacity) and fails unless the fleet sustains a
-# >= 2x rate. Nightly-only: the assertion is a wall-clock ratio and needs
-# a quiet multi-core machine — on a single-core host the fleet shares one
-# core and cannot physically scale out. See PERFORMANCE.md.
-cluster-bench:
-	GO="$(GO)" sh scripts/cluster_bench.sh
 
 # cover runs the test suite with coverage and prints a per-package summary
 # plus the total; the profile lands in cover.out for `go tool cover -html`.

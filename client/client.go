@@ -1,10 +1,12 @@
 // Package client is the Go client for rbcastd, the scenario-serving
 // daemon. It speaks the daemon's HTTP/JSON contract (POST /v1/run,
-// POST /v1/batch, GET /v1/jobs/{id}, GET /healthz, GET /metrics) and
-// implements the client half of the serving path's backpressure protocol:
-// requests the daemon sheds with 429 (or 503) are retried with jittered
-// exponential backoff, honoring the Retry-After hint when the daemon sends
-// one, under the caller's context deadline.
+// POST /v1/batch, POST /v1/sweep, GET /v1/jobs/{id},
+// GET /v1/jobs/{id}/events, GET /healthz, GET /metrics,
+// GET /debug/requests) and implements the client half of the serving
+// path's backpressure protocol: requests the daemon sheds with 429 (or
+// 503) are retried with jittered exponential backoff, honoring the
+// Retry-After hint when the daemon sends one, under the caller's context
+// deadline.
 //
 // Almost every rbcastd request is safe to retry: scenario runs are
 // deterministic pure functions of their fingerprint, and a shed batch
@@ -14,10 +16,6 @@
 // NOT retried — only failures that prove non-receipt (the dial itself
 // failed) are. Shed submissions (429/503) remain retryable, because the
 // daemon answering "not accepted" is exactly the confirmation needed.
-//
-// Cluster is the fleet-aware variant: it routes each run to its
-// fingerprint owner over the same consistent-hash ring the daemons use
-// and fails over to ring successors when members are unreachable.
 package client
 
 import (
@@ -62,12 +60,6 @@ type Client struct {
 	maxRetries  int
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
-
-	// failfast makes transport errors return immediately instead of
-	// retrying (status-based retries are unaffected). Cluster sets it on
-	// member clients: an unreachable member should fail over to its ring
-	// successor at once, not burn the retry budget redialing a dead node.
-	failfast bool
 
 	// sleep and jitter are test seams: sleep waits out a backoff under
 	// the context, jitter draws from [0,1).
@@ -524,9 +516,6 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, idemp
 			wait = se.RetryAfter
 		} else {
 			// Transport error: no daemon answer at all.
-			if c.failfast {
-				return nil, nil, last
-			}
 			if !idempotent && !confirmsNonReceipt(err) {
 				return nil, nil, fmt.Errorf(
 					"client: not retrying %s %s after an ambiguous transport failure (the request may have been accepted): %w",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -403,5 +404,111 @@ func TestWatchJobStatusErrorCarriesRequestID(t *testing.T) {
 	}
 	if !strings.Contains(se.Error(), "abc-000042") {
 		t.Errorf("Error() = %q, want the request id rendered", se.Error())
+	}
+}
+
+// faultTransport injects transport-level failures by attempt number,
+// delegating clean attempts to the default transport.
+type faultTransport struct {
+	fail  func(attempt int) error
+	calls atomic.Int32
+}
+
+func (t *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if err := t.fail(int(t.calls.Add(1))); err != nil {
+		// Drain the body like a real transport that died mid-write would:
+		// the bytes left the client before the connection reset.
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, err
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// resetError mimics a connection reset after the request started — the
+// ambiguous case where the daemon may have received and acted on it.
+func resetError() error {
+	return &net.OpError{Op: "read", Net: "tcp", Err: errors.New("connection reset by peer")}
+}
+
+// dialError mimics a refused dial — proof the daemon never saw anything.
+func dialError() error {
+	return &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("connection refused")}
+}
+
+// TestSubmitNotRetriedAfterAmbiguousFailure: a batch submission is not
+// idempotent — each accepted copy creates a new job — so a connection
+// reset mid-request must fail immediately instead of retrying a request
+// the daemon may already have accepted.
+func TestSubmitNotRetriedAfterAmbiguousFailure(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Options{}))
+	defer ts.Close()
+	ft := &faultTransport{fail: func(int) error { return resetError() }}
+	var sleeps []time.Duration
+	c := recordingClient(ts.URL, Options{HTTPClient: &http.Client{Transport: ft}}, &sleeps)
+
+	_, err := c.Submit(context.Background(), []rbcast.Job{testScenario()}, 0)
+	if err == nil || !strings.Contains(err.Error(), "not retrying") {
+		t.Fatalf("err = %v, want the ambiguous-failure refusal", err)
+	}
+	if got := ft.calls.Load(); got != 1 {
+		t.Errorf("transport saw %d attempts, want exactly 1", got)
+	}
+	if len(sleeps) != 0 {
+		t.Errorf("sleeps = %v, want none", sleeps)
+	}
+}
+
+// TestSubmitRetriedAfterDialFailure: a failed dial proves non-receipt, so
+// the submission is safe to retry even though it is not idempotent.
+func TestSubmitRetriedAfterDialFailure(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Options{}))
+	defer ts.Close()
+	ft := &faultTransport{fail: func(attempt int) error {
+		if attempt <= 2 {
+			return dialError()
+		}
+		return nil
+	}}
+	var sleeps []time.Duration
+	c := recordingClient(ts.URL, Options{HTTPClient: &http.Client{Transport: ft}}, &sleeps)
+
+	ack, err := c.Submit(context.Background(), []rbcast.Job{testScenario()}, 0)
+	if err != nil {
+		t.Fatalf("Submit after dial retries: %v", err)
+	}
+	if ack.ID == "" || ack.Jobs != 1 {
+		t.Fatalf("ack = %+v", ack)
+	}
+	if got := ft.calls.Load(); got != 3 {
+		t.Errorf("transport saw %d attempts, want 3", got)
+	}
+}
+
+// TestRunRetriedAfterAmbiguousFailure: runs are idempotent (deterministic
+// and cached by fingerprint), so even the ambiguous reset retries.
+func TestRunRetriedAfterAmbiguousFailure(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Options{}))
+	defer ts.Close()
+	ft := &faultTransport{fail: func(attempt int) error {
+		if attempt == 1 {
+			return resetError()
+		}
+		return nil
+	}}
+	var sleeps []time.Duration
+	c := recordingClient(ts.URL, Options{HTTPClient: &http.Client{Transport: ft}}, &sleeps)
+
+	job := testScenario()
+	got, err := c.Run(context.Background(), job.Config, job.Plan)
+	if err != nil {
+		t.Fatalf("Run after reset retry: %v", err)
+	}
+	if got.Fingerprint != job.Fingerprint() {
+		t.Errorf("fingerprint %q", got.Fingerprint)
+	}
+	if ft.calls.Load() != 2 {
+		t.Errorf("transport saw %d attempts, want 2", ft.calls.Load())
 	}
 }

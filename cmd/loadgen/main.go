@@ -69,20 +69,13 @@ func tinyScenario(n int) rbcast.Job {
 
 func main() {
 	var (
-		addr     = flag.String("addr", "", "rbcastd base URL, e.g. http://127.0.0.1:8080 (required unless -fleet is set)")
+		addr     = flag.String("addr", "", "rbcastd base URL (required), e.g. http://127.0.0.1:8080")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "overall wall-clock budget for the whole run")
 		progress = flag.Bool("progress", false, "run only the observability phase: live job progress (/v1/jobs/{id}/events) and flight-recorder attribution (/debug/requests)")
-
-		fleet       = flag.String("fleet", "", "comma-separated fleet member URLs; enables the cluster phases and fleet-routed -throughput")
-		phase       = flag.String("phase", "", "cluster phase to run against -fleet: seed, failover, or warm")
-		target      = flag.String("target", "", "the restarted member's URL for -phase warm")
-		throughput  = flag.Bool("throughput", false, "measure sustained run throughput against -addr (one node) or -fleet (cluster-routed)")
-		duration    = flag.Duration("duration", 5*time.Second, "measurement window for -throughput")
-		concurrency = flag.Int("concurrency", 8, "concurrent workers for -throughput")
 	)
 	flag.Parse()
-	if *addr == "" && *fleet == "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -addr or -fleet is required")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "loadgen: -addr is required")
 		os.Exit(2)
 	}
 	log.SetFlags(0)
@@ -90,52 +83,6 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-
-	var cc *client.Cluster
-	if *fleet != "" {
-		var members []string
-		for _, m := range strings.Split(*fleet, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				members = append(members, strings.TrimRight(m, "/"))
-			}
-		}
-		var err error
-		if cc, err = client.NewCluster(members, client.Options{MaxRetries: 8}); err != nil {
-			log.Fatalf("FAIL: fleet: %v", err)
-		}
-	}
-
-	if *phase != "" {
-		if cc == nil {
-			log.Fatal("FAIL: -phase needs -fleet")
-		}
-		switch *phase {
-		case "seed":
-			phaseClusterSeed(ctx, cc)
-		case "failover":
-			phaseClusterFailover(ctx, cc)
-		case "warm":
-			phaseClusterWarm(ctx, cc, strings.TrimRight(*target, "/"))
-		default:
-			log.Fatalf("FAIL: unknown -phase %q (seed, failover, warm)", *phase)
-		}
-		log.Printf("ok: cluster phase %s held", *phase)
-		return
-	}
-
-	if *throughput {
-		run := func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (client.RunResult, error) {
-			return client.New(*addr, client.Options{MaxRetries: 8}).Run(ctx, cfg, plan)
-		}
-		if cc != nil {
-			run = cc.Run
-		} else {
-			single := client.New(*addr, client.Options{MaxRetries: 8})
-			run = single.Run
-		}
-		phaseThroughput(ctx, run, *duration, *concurrency)
-		return
-	}
 
 	// noRetry sees the daemon's raw shedding; retrying rides it out. The
 	// generous retry budget covers the ~2s the slow scenario occupies the

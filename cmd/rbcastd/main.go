@@ -47,7 +47,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -124,12 +123,6 @@ func main() {
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight work")
 		logFormat   = flag.String("log-format", "text", "log handler: text or json")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
-
-		self        = flag.String("self", "", "this daemon's advertised base URL in cluster mode (must appear in -peers)")
-		peers       = flag.String("peers", "", "comma-separated base URLs of every fleet member, including this one; enables cluster mode")
-		peerTimeout = flag.Duration("peer-timeout", 0, "budget per sibling cache probe or health check (0 means the 2s default)")
-		redirect    = flag.Bool("redirect", false, "answer non-owned runs with a 307 redirect to the owner instead of proxying")
-		peerHealth  = flag.Duration("peer-health-interval", 5*time.Second, "cadence of the active sibling /healthz sweep behind rbcastd_peer_up (0 disables)")
 	)
 	flag.Parse()
 
@@ -141,20 +134,6 @@ func main() {
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
-	}
-
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, strings.TrimRight(p, "/"))
-			}
-		}
-		if err := server.ValidateCluster(*self, peerList); err != nil {
-			fatal("cluster configuration", err)
-		}
-	} else if *self != "" {
-		fatal("cluster configuration", errors.New("-self set without -peers"))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -171,17 +150,10 @@ func main() {
 		FlightRecorder: *flightRec,
 		SlowRequest:    *slowReq,
 		Logger:         logger,
-		Self:           *self,
-		Peers:          peerList,
-		PeerTimeout:    *peerTimeout,
-		Redirect:       *redirect,
 	})
 	hs := &http.Server{Handler: srv}
 
 	logger.Info("rbcastd listening", "addr", ln.Addr())
-	if srv.Clustered() {
-		logger.Info("rbcastd cluster mode", "self", *self, "fleet_size", len(peerList), "redirect", *redirect)
-	}
 	var ops *http.Server
 	if *opsAddr != "" {
 		var err error
@@ -195,9 +167,6 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if srv.Clustered() && *peerHealth > 0 {
-		go srv.PeerHealthLoop(ctx, *peerHealth)
-	}
 	select {
 	case err := <-errc:
 		fatal("serve", err)

@@ -13,8 +13,9 @@ package rbcast
 //
 //   - The fingerprint is *canonical*: documented zero-value aliases
 //     (Metric 0 ≡ MetricLinf, Placement 0 ≡ PlaceNone, Strategy 0 ≡
-//     StrategyCrash, Retransmit < 1 ≡ 1) are normalized before hashing, so
-//     two spellings of the same scenario share one cache entry.
+//     StrategyCrash, Retransmit < 1 ≡ 1, float -0 ≡ 0) are normalized
+//     before hashing, so two spellings of the same scenario share one
+//     cache entry.
 
 import (
 	"bufio"
@@ -315,10 +316,10 @@ const fingerprintVersion = "rbcast/fp/v1"
 //
 // Scenarios that differ only in a documented zero-value alias (Metric 0 vs
 // MetricLinf, Placement 0 vs PlaceNone, Strategy 0 vs StrategyCrash,
-// Retransmit 0 vs 1) fingerprint identically; any semantic field change
-// yields a different fingerprint. Invalid enum values still fingerprint
-// (via their numeric fallback spelling) — validation is Run's job, not the
-// hash's.
+// Retransmit 0 vs 1, a float field's -0 vs 0) fingerprint identically;
+// any semantic field change yields a different fingerprint. Invalid enum
+// values still fingerprint (via their numeric fallback spelling) —
+// validation is Run's job, not the hash's.
 func (j Job) Fingerprint() string {
 	sum := sha256.Sum256(j.canonical())
 	return hex.EncodeToString(sum[:])
@@ -482,7 +483,11 @@ func canonicalEdges(edges [][2]int) string {
 }
 
 // canonicalFloat renders a float exactly (hexadecimal mantissa/exponent),
-// immune to decimal rounding differences.
+// immune to decimal rounding differences. -0 renders as 0: the float
+// fields are only ever compared, and -0 == 0, so the two run identically.
 func canonicalFloat(f float64) string {
+	if f == 0 {
+		f = 0 // drops the sign of -0
+	}
 	return strconv.FormatFloat(f, 'x', -1, 64)
 }

@@ -1,9 +1,12 @@
 package rbcast
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -350,6 +353,8 @@ func TestFingerprintFieldOrderIndependence(t *testing.T) {
 
 func TestFingerprintZeroValueAliases(t *testing.T) {
 	base := Config{Width: 16, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1}
+	rgg := Config{Topology: TopologyRGG, Nodes: 32, Protocol: ProtocolFlood, Value: 1}
+	negZero := math.Copysign(0, -1)
 	aliases := []struct {
 		name string
 		a, b Job
@@ -369,12 +374,113 @@ func TestFingerprintZeroValueAliases(t *testing.T) {
 		{"strategy 0 ≡ crash",
 			Job{Config: base, Plan: FaultPlan{Placement: PlaceBand}},
 			Job{Config: base, Plan: FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash}}},
+		{"loss_rate -0 ≡ 0",
+			Job{Config: base},
+			Job{Config: func() Config { c := base; c.LossRate = negZero; return c }()}},
+		{"probability -0 ≡ 0",
+			Job{Config: base, Plan: FaultPlan{Placement: PlacePercolation}},
+			Job{Config: base, Plan: FaultPlan{Placement: PlacePercolation, Probability: negZero}}},
+		{"rgg_radius -0 ≡ 0",
+			Job{Config: rgg},
+			Job{Config: func() Config { c := rgg; c.RGGRadius = negZero; return c }()}},
 	}
 	for _, tt := range aliases {
 		if fa, fb := tt.a.Fingerprint(), tt.b.Fingerprint(); fa != fb {
 			t.Errorf("%s: fingerprints differ (%s vs %s)", tt.name, fa, fb)
 		}
 	}
+}
+
+// decodeJobStrict decodes one Job the way rbcastd decodes request bodies:
+// unknown fields and trailing data are errors.
+func decodeJobStrict(data []byte) (Job, error) {
+	var j Job
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
+		return Job{}, err
+	}
+	if dec.More() {
+		return Job{}, errors.New("trailing data after JSON value")
+	}
+	return j, nil
+}
+
+// FuzzJobFingerprint fuzzes the wire surface's identity: any body that
+// strictly decodes to a Job keeps its fingerprint through json.Marshal and
+// a strict re-decode, and through every documented alias swap.
+func FuzzJobFingerprint(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"config":{"width":16,"height":10,"radius":1,"protocol":"bv4","t":2,"value":1},"plan":{"placement":"greedy-band","strategy":"silent"}}`,
+		`{"config":{"width":16,"height":10,"radius":1,"metric":"linf","protocol":"flood","value":1,"loss_rate":-0,"retransmit":1,"topology":"torus"},"plan":{"placement":"none","strategy":"crash"}}`,
+		`{"config":{"width":12,"height":12,"radius":2,"metric":"l2","protocol":"cpa","t":1,"loss_rate":0.25,"retransmit":3,"medium_seed":9},"plan":{"placement":"percolation","probability":-0,"seed":4}}`,
+		`{"config":{"topology":"rgg","nodes":40,"rgg_radius":0.3,"topology_seed":3,"source":2,"protocol":"bracha","t":1,"value":1}}`,
+		`{"config":{"topology":"rgg","nodes":8,"rgg_radius":-0,"protocol":"flood"}}`,
+		`{"config":{"topology":"custom","graph":{"nodes":4,"edges":[[0,1],[2,1],[3,2]]},"protocol":"bracha-auth","t":1,"trace":true}}`,
+		`{"config":{"width":1e1},"plan":{"crash_round":-3,"budget":2,"count":5}}`,
+		`{"config":{"WIDTH":16},"plan":{"Strategy":"liar"}}`,
+		`{"config":{"width":16}} {}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := decodeJobStrict(data)
+		if err != nil {
+			return
+		}
+		want := j.Fingerprint()
+		enc, err := json.Marshal(j)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", j, err)
+		}
+		back, err := decodeJobStrict(enc)
+		if err != nil {
+			t.Fatalf("strict re-decode of %s: %v", enc, err)
+		}
+		if got := back.Fingerprint(); got != want {
+			t.Fatalf("re-encoding changed the fingerprint\n  in  %s\n  out %s", data, enc)
+		}
+		for _, alias := range []struct {
+			name  string
+			apply func(*Job)
+		}{
+			{"metric 0 ≡ linf", func(j *Job) { j.Config.Metric = swap(j.Config.Metric, 0, MetricLinf) }},
+			{"placement 0 ≡ none", func(j *Job) { j.Plan.Placement = swap(j.Plan.Placement, 0, PlaceNone) }},
+			{"strategy 0 ≡ crash", func(j *Job) { j.Plan.Strategy = swap(j.Plan.Strategy, 0, StrategyCrash) }},
+			{"retransmit 0 ≡ 1", func(j *Job) { j.Config.Retransmit = swap(j.Config.Retransmit, 0, 1) }},
+			{"topology 0 ≡ torus", func(j *Job) { j.Config.Topology = swap(j.Config.Topology, 0, TopologyTorus) }},
+			{"loss_rate -0 ≡ 0", func(j *Job) { j.Config.LossRate = flipZero(j.Config.LossRate) }},
+			{"probability -0 ≡ 0", func(j *Job) { j.Plan.Probability = flipZero(j.Plan.Probability) }},
+			{"rgg_radius -0 ≡ 0", func(j *Job) { j.Config.RGGRadius = flipZero(j.Config.RGGRadius) }},
+		} {
+			k := j
+			alias.apply(&k)
+			if got := k.Fingerprint(); got != want {
+				t.Fatalf("%s changed the fingerprint of %s", alias.name, data)
+			}
+		}
+	})
+}
+
+// swap exchanges the two spellings of an alias pair and leaves any other
+// value alone.
+func swap[T comparable](v, a, b T) T {
+	switch v {
+	case a:
+		return b
+	case b:
+		return a
+	}
+	return v
+}
+
+// flipZero turns 0 into -0 and -0 into 0, and leaves any other value alone.
+func flipZero(v float64) float64 {
+	if v == 0 {
+		return -v
+	}
+	return v
 }
 
 func TestFingerprintSingleFieldSensitivity(t *testing.T) {

@@ -2,7 +2,7 @@
 // recorder: per-request timelines of parent/child spans with monotonic
 // starts, durations and key=value annotations, answering "where did the
 // time go" for one slow request the way /metrics answers it for the
-// fleet.
+// whole daemon.
 //
 // It follows the repository's tap discipline (internal/metrics,
 // internal/etrace): a nil *Trace and a nil *Recorder are valid no-op

@@ -153,20 +153,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Peek returns the resident value for key without touching the LRU order
-// or the hit/miss counters. It exists for the cluster cache-probe route:
-// sibling daemons sweeping the fleet for a fill must not promote entries
-// their own traffic never earned, nor skew the hit ratio operators watch.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*entry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
 // Put inserts or refreshes a value at the LRU front.
 func (c *Cache[V]) Put(key string, val V) {
 	c.mu.Lock()

@@ -239,30 +239,3 @@ func TestSettleStoresWhenNothingFresherExists(t *testing.T) {
 		t.Errorf("cache holds (%d, %t), want the settled 7", v, ok)
 	}
 }
-
-// TestPeekDoesNotPerturb: Peek sees resident values but never touches the
-// LRU order or the counters — a fleet of sibling probes must not evict or
-// promote entries the local traffic did not earn.
-func TestPeekDoesNotPerturb(t *testing.T) {
-	c := New[int](2)
-	c.Put("a", 1)
-	c.Put("b", 2) // LRU order: b (front), a (back)
-	if v, ok := c.Peek("a"); !ok || v != 1 {
-		t.Fatalf("Peek(a) = (%d, %t), want (1, true)", v, ok)
-	}
-	if _, ok := c.Peek("missing"); ok {
-		t.Fatal("Peek(missing) reported a resident value")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Peek moved the counters: %+v", st)
-	}
-	// If Peek had promoted "a", this Put would evict "b"; unperturbed LRU
-	// evicts "a".
-	c.Put("c", 3)
-	if _, ok := c.Peek("b"); !ok {
-		t.Fatal("Peek promoted its key: \"b\" was evicted instead of \"a\"")
-	}
-	if _, ok := c.Peek("a"); ok {
-		t.Fatal("\"a\" survived eviction — Peek changed the LRU order")
-	}
-}

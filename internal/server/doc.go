@@ -5,13 +5,15 @@
 //
 // Endpoints:
 //
-//	POST /v1/run             execute one scenario synchronously (cached)
-//	POST /v1/batch           submit a job list; returns a job id immediately
-//	POST /v1/sweep           plan + execute a parameter grid incrementally (NDJSON stream)
-//	GET  /v1/jobs/{id}       poll a batch job's status and results
-//	GET  /v1/jobs/{id}/trace stream a traced element's event log (NDJSON)
-//	GET  /healthz            liveness
-//	GET  /metrics            Prometheus text-format counters and gauges
+//	POST /v1/run              execute one scenario synchronously (cached)
+//	POST /v1/batch            submit a job list; returns a job id immediately
+//	POST /v1/sweep            plan + execute a parameter grid incrementally (NDJSON stream)
+//	GET  /v1/jobs/{id}        poll a batch job's status and results
+//	GET  /v1/jobs/{id}/trace  stream a traced element's event log (NDJSON)
+//	GET  /v1/jobs/{id}/events stream a batch job's live progress (NDJSON)
+//	GET  /healthz             liveness
+//	GET  /metrics             Prometheus text-format counters and gauges
+//	GET  /debug/requests      flight-recorder request timelines
 //
 // API.md at the repository root is the full route reference.
 //

@@ -97,32 +97,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeGauge(&b, "rbcastd_sim_commits_total", "counter",
 		"First-time decisions across all executed runs.", float64(s.simCommits.Load()))
 
-	if s.ring != nil {
-		writeGauge(&b, "rbcastd_cluster_members", "gauge",
-			"Fleet size this daemon's ring was built from (including itself).",
-			float64(s.ring.Len()))
-		writeHeader(&b, "rbcastd_peer_up", "gauge",
-			"Sibling liveness from the last contact (health check, proxy or cache probe): 1 up, 0 down.")
-		for _, p := range s.siblings {
-			up := 0
-			if s.peers[p].up.Load() {
-				up = 1
-			}
-			fmt.Fprintf(&b, "rbcastd_peer_up{peer=%q} %d\n", p, up)
-		}
-		writeHeader(&b, "rbcastd_peer_proxy_total", "counter",
-			"Runs forwarded to their fingerprint owner, by peer and outcome (error = owner unreachable, executed locally).")
-		for _, p := range s.siblings {
-			fmt.Fprintf(&b, "rbcastd_peer_proxy_total{peer=%q,outcome=\"ok\"} %d\n", p, s.peers[p].proxyOK.Load())
-			fmt.Fprintf(&b, "rbcastd_peer_proxy_total{peer=%q,outcome=\"error\"} %d\n", p, s.peers[p].proxyErr.Load())
-		}
-		writeHeader(&b, "rbcastd_peer_cache_fill_total", "counter",
-			"Sibling cache probes on owned-fingerprint misses, by outcome (hit = served without simulating).")
-		fmt.Fprintf(&b, "rbcastd_peer_cache_fill_total{outcome=\"hit\"} %d\n", s.peerFillHit.Load())
-		fmt.Fprintf(&b, "rbcastd_peer_cache_fill_total{outcome=\"miss\"} %d\n", s.peerFillMiss.Load())
-		fmt.Fprintf(&b, "rbcastd_peer_cache_fill_total{outcome=\"error\"} %d\n", s.peerFillErr.Load())
-	}
-
 	writeGauge(&b, "rbcastd_sweeps_total", "counter",
 		"Sweep requests executed.", float64(s.sweepsRun.Load()))
 	writeGauge(&b, "rbcastd_sweep_elements_total", "counter",

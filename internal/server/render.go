@@ -1,10 +1,10 @@
 package server
 
-// Response rendering for every body that carries a Result: /v1/run,
-// /v1/cache/{fp}, the /v1/sweep element lines and /v1/jobs/{id}. The
-// cache holds rbcast.PackedResult values, and these writers append their
-// JSON into pooled buffers without reflection. The output is byte-identical
-// to json.Marshal of the exported wire types (RunResponse, SweepElement,
+// Response rendering for every body that carries a Result: /v1/run, the
+// /v1/sweep element lines and /v1/jobs/{id}. The cache holds
+// rbcast.PackedResult values, and these writers append their JSON into
+// pooled buffers without reflection. The output is byte-identical to
+// json.Marshal of the exported wire types (RunResponse, SweepElement,
 // JobStatus), which remain the schema clients decode into.
 
 import (

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -16,7 +14,6 @@ import (
 	"time"
 
 	rbcast "repro"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/scache"
 )
@@ -25,7 +22,8 @@ import (
 type Options struct {
 	// CacheSize bounds the result cache entry count (≤ 0: 1024).
 	CacheSize int
-	// Workers caps each batch job's worker pool (≤ 0: GOMAXPROCS).
+	// Workers caps the worker pool of each batch job and each /v1/sweep
+	// (≤ 0: GOMAXPROCS).
 	Workers int
 	// MaxJobs bounds retained async batch jobs (≤ 0: 4096). When the
 	// bound is hit, the oldest finished job is dropped; running jobs are
@@ -66,25 +64,6 @@ type Options struct {
 	// when the flight recorder is armed) for any request at or over this
 	// duration (≤ 0: disabled). Requires Logger.
 	SlowRequest time.Duration
-	// Self is this daemon's advertised base URL in cluster mode (e.g.
-	// "http://10.0.0.1:8080"). Required when Peers is set; must be one of
-	// them.
-	Self string
-	// Peers is the full fleet membership as base URLs, including Self.
-	// Non-empty Peers enables cluster mode: /v1/run requests whose
-	// fingerprint another member owns are forwarded there, and local
-	// cache misses this node owns probe the siblings before simulating.
-	// Empty: single-node. Validate with ValidateCluster first — New
-	// panics on an inconsistent membership.
-	Peers []string
-	// PeerTimeout bounds each sibling cache probe and health check
-	// (≤ 0: 2s). Proxied runs are bounded by the client's own request
-	// context instead — they carry real simulation work.
-	PeerTimeout time.Duration
-	// Redirect makes non-owners answer 307 (Location: owner's /v1/run)
-	// instead of proxying. Cheaper for the fleet, but only clients that
-	// replay request bodies across redirects can use it.
-	Redirect bool
 }
 
 // Server is the rbcastd HTTP handler plus its execution state. Construct
@@ -125,25 +104,13 @@ type Server struct {
 	// panicsRecovered counts scenario panics isolated to their job.
 	deadlineRuns, panicsRecovered atomic.Int64
 
-	// Cluster mode (nil ring = single-node): the fingerprint ring, this
-	// node's advertised URL, the siblings in canonical order, the HTTP
-	// client proxies and probes ride, and per-sibling status. The
-	// peerFill* counters classify sibling cache probes on local misses.
-	ring     *cluster.Ring
-	self     string
-	siblings []string
-	peerHC   *http.Client
-	peers    map[string]*peerStatus
-
-	peerFillHit, peerFillMiss, peerFillErr atomic.Int64
-
 	// Aggregated simulation totals across every executed (non-cached)
-	// run — the internal/metrics counters surfaced fleet-wide.
+	// run — the internal/metrics counters surfaced server-wide.
 	simRuns, simBroadcasts, simDeliveries, simEvidence, simCommits atomic.Int64
 
 	// Sweep-engine totals: sweeps served, elements planned, results shared
 	// without a fresh simulation, and actual vs scalar-equivalent simulated
-	// node-rounds (their ratio is the fleet-wide incremental speedup).
+	// node-rounds (their ratio is the server-wide incremental speedup).
 	sweepsRun, sweepElements, sweepSharedResults atomic.Int64
 	sweepNodeRounds, sweepScalarNodeRounds       atomic.Int64
 
@@ -189,7 +156,6 @@ func New(opts Options) *Server {
 	if opts.MaxInflight > 0 {
 		s.runSlots = make(chan struct{}, opts.MaxInflight)
 	}
-	s.initCluster()
 	// record marks routes whose timelines enter the flight recorder.
 	// Scrape endpoints and long-lived event streams stay out: they would
 	// flood the ring with traffic nobody debugs, burying the requests the
@@ -202,7 +168,6 @@ func New(opts Options) *Server {
 		record  bool
 	}{
 		{"POST /v1/run", "/v1/run", s.handleRun, true},
-		{"GET /v1/cache/{fp}", "/v1/cache/{fp}", s.handleCacheProbe, false},
 		{"POST /v1/batch", "/v1/batch", s.handleBatch, true},
 		{"POST /v1/sweep", "/v1/sweep", s.handleSweep, true},
 		{"GET /v1/jobs/{id}", "/v1/jobs/{id}", s.handleJob, true},
@@ -265,44 +230,24 @@ func writeShed(w http.ResponseWriter, err error) {
 
 // handleRun executes one scenario synchronously through the cache.
 // Concurrent identical requests single-flight onto one execution; the
-// X-Rbcast-Cache header reports hit (served without executing), miss, or
-// peer (filled from a sibling's cache in cluster mode). In cluster mode a
-// fingerprint another member owns is forwarded there first (proxy or 307
-// per Options.Redirect) and only executed locally when the owner is
-// unreachable. Failure modes map to statuses: invalid scenario 400, all
-// execution slots taken 429 (Retry-After), job deadline exceeded 504,
-// scenario panic 500.
+// X-Rbcast-Cache header reports hit (served without executing) or miss.
+// Failure modes map to statuses: invalid scenario 400, all execution slots
+// taken 429 (Retry-After), job deadline exceeded 504, scenario panic 500.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	tr, root := obs.SpanFromContext(r.Context())
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
 	var req RunRequest
-	if err := decodeStrict(body, &req); err != nil {
+	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	job := rbcast.Job{Config: req.Config, Plan: req.Plan}
 	fp := job.Fingerprint()
-	if s.routeRun(tr, root, w, r, fp, body) {
-		return
-	}
 	// The cache span's identity is only known once the lookup resolves:
 	// a resident hit, a single-flight wait on another request's
-	// execution, or a miss this request resolves — by probing sibling
-	// caches when this node owns the fingerprint in cluster mode, else by
-	// executing (with slot-wait and engine child spans from executeOne).
-	filled := false
+	// execution, or a miss this request executes (with slot-wait and
+	// engine child spans from executeOne).
 	cacheSp := tr.Start(root, "cache")
 	res, err, outcome := s.cache.DoOutcome(fp, func() (*rbcast.PackedResult, error) {
-		if s.ring != nil && s.ring.Owner(fp) == s.self {
-			if res, ok := s.peerFill(tr, cacheSp, fp); ok {
-				filled = true
-				return res, nil
-			}
-		}
 		res, err := s.executeOne(tr, cacheSp, req.Config, req.Plan)
 		if err != nil {
 			return nil, err
@@ -339,12 +284,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	switch {
-	case cached:
+	if cached {
 		w.Header().Set("X-Rbcast-Cache", "hit")
-	case filled:
-		w.Header().Set("X-Rbcast-Cache", "peer")
-	default:
+	} else {
 		w.Header().Set("X-Rbcast-Cache", "miss")
 	}
 	encSp := tr.Start(root, "encode")
@@ -435,17 +377,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // garbage are errors, so client typos surface as 400s instead of silently
 // running a default scenario.
 func decodeJSON(r *http.Request, v any) error {
-	data, err := io.ReadAll(r.Body)
-	if err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
-	}
-	return decodeStrict(data, v)
-}
-
-// decodeStrict is decodeJSON over bytes already read — handleRun keeps the
-// raw body so cluster mode can forward it verbatim to the owner.
-func decodeStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
