@@ -7,10 +7,12 @@ GO ?= go
 # module, the race detector across every package, the rbcastd serving
 # smoke test, the execution-trace smoke test, the saturation/backpressure
 # smoke test, the /v1/sweep planner smoke test, the flight-recorder/
-# live-progress smoke test, and the benchmark-scenario golden-hash smoke.
-# The full benchmark suite, bench-sweep, bench-diff, and bench-serve stay
-# out — they need a quiet machine and run in the nightly workflow instead.
-ci: build vet test bench-module race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke
+# live-progress smoke test, the benchmark-scenario golden-hash smoke, and
+# the sweep-engine gate (bench-sweep: about a second, gated on the
+# deterministic node-round ratio, so a noisy runner cannot flake it). The
+# full benchmark suite, bench-diff, and bench-serve stay out — they need a
+# quiet machine and run in the nightly workflow instead.
+ci: build vet test bench-module race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
 verify: ci
@@ -91,10 +93,12 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke
 
-# bench-sweep times the incremental sweep engine against element-by-element
-# RunBatch on the canonical sweep workloads, checks every element hash for
-# byte-identity, and fails below a 2x node-round (or wall) speedup. See
-# PERFORMANCE.md for the current numbers.
+# bench-sweep times rbcast.RunSweepJobs — the executor behind /v1/batch,
+# /v1/sweep and every multi-job caller — against a scalar reference (one
+# rbcast.Run per element over the same worker pool) on the canonical sweep
+# workloads, checks every element hash for byte-identity, and fails below
+# a 2x node-round (or wall) speedup. See PERFORMANCE.md for the current
+# numbers.
 bench-sweep:
 	$(GO) run ./cmd/bench -sweep
 

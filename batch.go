@@ -2,12 +2,8 @@ package rbcast
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Job pairs one scenario with its adversary for batch execution. Its
@@ -18,7 +14,7 @@ type Job struct {
 	Plan   FaultPlan `json:"plan"`
 }
 
-// BatchResult is the outcome of one batch job.
+// BatchResult is the outcome of one job of a RunSweepJobs or RunSweep call.
 type BatchResult struct {
 	// Result is the job's outcome. It is valid when Err is nil, and also —
 	// as a partial result — when Err wraps ErrDeadline (see RunContext).
@@ -26,49 +22,50 @@ type BatchResult struct {
 	Result Result
 	// Err captures the job's own failure: an invalid config, a cancelled
 	// or expired context (wrapping ErrDeadline), or a panic (a
-	// *PanicError carrying the stack). One failing job never affects the
-	// others.
+	// *PanicError carrying the stack). A failure reaches only the jobs
+	// that share its execution unit (see BatchOptions.JobTimeout).
 	Err error
 }
 
-// ProgressUpdate is one live snapshot of a batch or sweep execution,
+// ProgressUpdate is one live snapshot of a RunSweepJobs execution,
 // delivered through BatchOptions.Progress. Snapshots are cumulative and
 // monotone: each reflects all work settled so far.
 type ProgressUpdate struct {
-	// Done counts jobs (sweep: elements) resolved so far; Total is the
-	// batch size.
+	// Done counts jobs resolved so far; Total is the job count.
 	Done, Total int
 	// NodeRounds is the simulated work performed so far: Σ rounds ×
-	// network size over completed executions.
+	// network size over completed executions, counting forked
+	// continuations only past their fork point.
 	NodeRounds int64
-	// SharedResults counts elements resolved by sharing another
-	// element's execution instead of simulating (sweeps only; always 0
-	// for RunBatch, whose callers deduplicate upstream).
+	// SharedResults counts jobs resolved by sharing another job's
+	// execution instead of simulating (SweepStats.SharedResults so far).
 	SharedResults int
 }
 
-// BatchOptions configures RunBatch. The zero value runs with GOMAXPROCS
-// workers, no cancellation and no per-job deadline.
+// BatchOptions configures RunSweepJobs and RunSweep. The zero value runs
+// with GOMAXPROCS workers, no cancellation and no deadline.
 type BatchOptions struct {
 	// Workers caps the worker pool; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Context optionally cancels the batch: jobs not yet started when it
+	// Context optionally cancels the call: jobs not yet started when it
 	// is done complete immediately with Err = Context.Err(), and jobs in
 	// flight stop at their next round boundary with a partial Result and
 	// an Err wrapping ErrDeadline. It also carries the optional request
-	// trace (internal/obs): when armed, workers record per-job spans
-	// under the span the context names.
+	// trace (internal/obs): when armed, workers record one "job" span per
+	// execution unit under the span the context names.
 	Context context.Context
-	// JobTimeout optionally bounds each job's wall-clock time,
-	// independent of Config.MaxRounds. A job that exceeds it stops at the
-	// next round boundary with a partial Result and an Err wrapping
-	// ErrDeadline; its siblings are unaffected. ≤ 0 means no bound.
+	// JobTimeout optionally bounds the wall-clock time of each execution
+	// unit, independent of Config.MaxRounds. A unit is one shared
+	// execution, or a whole crash-round fork family: the family shares
+	// its trunk, so it is cut together, and every job in a cut unit stops
+	// at the next round boundary with the unit's partial Result and an
+	// Err wrapping ErrDeadline. Jobs in other units are unaffected. ≤ 0
+	// means no bound.
 	JobTimeout time.Duration
 	// Progress, when non-nil, receives a cumulative ProgressUpdate after
-	// each job (sweep: execution unit) settles. Calls are serialized and
-	// snapshots monotone, so callers can publish them directly; the
-	// callback must be fast — it runs on the worker that finished the
-	// job.
+	// each execution unit settles. Calls are serialized and snapshots
+	// monotone, so callers can publish them directly; the callback must
+	// be fast — it runs on the worker that finished the unit.
 	Progress func(ProgressUpdate)
 }
 
@@ -89,7 +86,7 @@ func newProgressTracker(fn func(ProgressUpdate), total int) *progressTracker {
 	return &progressTracker{up: ProgressUpdate{Total: total}, fn: fn}
 }
 
-// add folds one settled job into the snapshot and delivers it.
+// add folds one settled execution unit into the snapshot and delivers it.
 func (p *progressTracker) add(done int, nodeRounds int64, shared int) {
 	if p == nil {
 		return
@@ -101,77 +98,4 @@ func (p *progressTracker) add(done int, nodeRounds int64, shared int) {
 	up := p.up
 	p.mu.Unlock()
 	p.fn(up)
-}
-
-// resultNodeRounds books one completed execution's simulated work.
-func resultNodeRounds(res Result) int64 {
-	return int64(res.Rounds) * int64(len(res.Decisions))
-}
-
-// batchJobDispatched, when non-nil, runs with each job's index after the
-// pool hands the job to a worker and before the job's cancellation check.
-// It is a test seam: cancelling the batch context inside it models
-// cancellation arriving in the dispatch-to-start window and makes the
-// resulting split — finished jobs keep results, later jobs are marked
-// cancelled — deterministic under Workers=1.
-var batchJobDispatched func(i int)
-
-// RunBatch executes the jobs across a bounded worker pool and returns one
-// result per job, in job order — the output is identical to calling Run in
-// a loop, independent of worker count and scheduling. Scenario runs are
-// pure CPU work on disjoint state, so throughput scales with cores; this is
-// the substrate the threshold sweeps, experiment drivers and the rbcastd
-// batch endpoint fan out on.
-//
-// RunBatch bounds the damage any one job can do: a panicking job fails
-// with a *PanicError instead of crashing the process, and a job that
-// exceeds JobTimeout (or an expired batch Context) fails with ErrDeadline,
-// in both cases leaving every sibling to complete normally.
-func RunBatch(jobs []Job, opts BatchOptions) []BatchResult {
-	results := make([]BatchResult, len(jobs))
-	ctx := opts.Context
-	tracker := newProgressTracker(opts.Progress, len(jobs))
-	tr, parent := obs.SpanFromContext(ctx)
-	pool.Run(opts.Workers, len(jobs), func(i int) {
-		// The progress fold sits in a defer so the panic path reports the
-		// job as done too — a watcher must reach Done == Total even when
-		// elements fail.
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = BatchResult{Err: &PanicError{Index: i, Value: r, Stack: debug.Stack()}}
-			}
-			tracker.add(1, resultNodeRounds(results[i].Result), 0)
-		}()
-		if hook := batchJobDispatched; hook != nil {
-			hook(i)
-		}
-		// The check sits immediately before the run so cancellation
-		// arriving any time up to job start is observed without paying for
-		// a run that is already unwanted; cancellation after the start is
-		// the engines' round-boundary check.
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				results[i].Err = ctx.Err()
-				return
-			default:
-			}
-		}
-		jobCtx := ctx
-		if jobCtx == nil {
-			jobCtx = context.Background()
-		}
-		if opts.JobTimeout > 0 {
-			var cancel context.CancelFunc
-			jobCtx, cancel = context.WithTimeout(jobCtx, opts.JobTimeout)
-			defer cancel()
-		}
-		sp := tr.Start(parent, "job")
-		res, err := RunContext(jobCtx, jobs[i].Config, jobs[i].Plan)
-		tr.AnnotateInt(sp, "index", int64(i))
-		tr.AnnotateInt(sp, "rounds", int64(res.Rounds))
-		tr.End(sp)
-		results[i] = BatchResult{Result: res, Err: err}
-	})
-	return results
 }

@@ -46,7 +46,7 @@ func stripWall(r Result) Result {
 
 func TestRunBatchMatchesSequentialLoop(t *testing.T) {
 	jobs := sweepJobs()
-	batch := RunBatch(jobs, BatchOptions{Workers: 4})
+	batch, _ := RunSweepJobs(jobs, BatchOptions{Workers: 4})
 	if len(batch) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(batch), len(jobs))
 	}
@@ -66,9 +66,9 @@ func TestRunBatchMatchesSequentialLoop(t *testing.T) {
 
 func TestRunBatchWorkerCountInvariance(t *testing.T) {
 	jobs := sweepJobs()[:8]
-	base := RunBatch(jobs, BatchOptions{Workers: 1})
+	base, _ := RunSweepJobs(jobs, BatchOptions{Workers: 1})
 	for _, workers := range []int{0, 2, 7, 32} {
-		got := RunBatch(jobs, BatchOptions{Workers: workers})
+		got, _ := RunSweepJobs(jobs, BatchOptions{Workers: workers})
 		for i := range jobs {
 			if got[i].Err != nil || base[i].Err != nil {
 				t.Fatalf("workers=%d job %d: err %v / %v", workers, i, got[i].Err, base[i].Err)
@@ -85,7 +85,7 @@ func TestRunBatchPerJobErrorCapture(t *testing.T) {
 	bad := good
 	bad.Metric = Metric(99)
 	jobs := []Job{{Config: good}, {Config: bad}, {Config: good}}
-	results := RunBatch(jobs, BatchOptions{Workers: 2})
+	results, _ := RunSweepJobs(jobs, BatchOptions{Workers: 2})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Errorf("good jobs failed: %v, %v", results[0].Err, results[2].Err)
 	}
@@ -101,7 +101,7 @@ func TestRunBatchCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := sweepJobs()[:5]
-	results := RunBatch(jobs, BatchOptions{Workers: 2, Context: ctx})
+	results, _ := RunSweepJobs(jobs, BatchOptions{Workers: 2, Context: ctx})
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("job %d: err = %v, want context.Canceled", i, r.Err)
@@ -110,24 +110,24 @@ func TestRunBatchCancelledContext(t *testing.T) {
 }
 
 // TestRunBatchMidBatchCancellation cancels the context in the window
-// between a job's dispatch and its start, via the batchJobDispatched seam,
-// with Workers=1 so dispatch order is the job order. The split must be
-// exact: jobs finished before the cancellation keep their results, the job
-// whose dispatch triggered it and everything after are marked
-// context.Canceled.
+// between a job's dispatch and its start, via the unitDispatched seam,
+// with Workers=1 so dispatch order is the job order (the jobs are
+// distinct, so each is its own execution unit). The split must be exact:
+// jobs finished before the cancellation keep their results, the job whose
+// dispatch triggered it and everything after are marked context.Canceled.
 func TestRunBatchMidBatchCancellation(t *testing.T) {
 	const cancelAt = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	batchJobDispatched = func(i int) {
+	unitDispatched = func(i int) {
 		if i == cancelAt {
 			cancel()
 		}
 	}
-	defer func() { batchJobDispatched = nil }()
+	defer func() { unitDispatched = nil }()
 
 	jobs := sweepJobs()[:5]
-	results := RunBatch(jobs, BatchOptions{Workers: 1, Context: ctx})
+	results, _ := RunSweepJobs(jobs, BatchOptions{Workers: 1, Context: ctx})
 	for i, r := range results[:cancelAt] {
 		if r.Err != nil {
 			t.Errorf("job %d finished before cancellation but has err %v", i, r.Err)
@@ -152,7 +152,7 @@ func TestRunBatchMidBatchCancellation(t *testing.T) {
 }
 
 func TestRunBatchEmpty(t *testing.T) {
-	if got := RunBatch(nil, BatchOptions{}); len(got) != 0 {
+	if got, _ := RunSweepJobs(nil, BatchOptions{}); len(got) != 0 {
 		t.Errorf("empty batch returned %d results", len(got))
 	}
 }

@@ -5,9 +5,9 @@
 // full protocol simulation may take seconds.
 //
 // With -sweep it switches to dynamic mode: every fault bound t from 0 up to
-// the crash impossibility point is simulated through rbcast.RunBatch across
-// a worker pool, printing one row per t with the outcome and the measured
-// traffic from the metrics layer.
+// the crash impossibility point is simulated through rbcast.RunSweepJobs
+// across a worker pool, printing one row per t with the outcome and the
+// measured traffic from the metrics layer.
 package main
 
 import (
@@ -168,8 +168,9 @@ func main() {
 }
 
 // runSweep simulates the protocol at every fault bound t from 0 to the
-// crash impossibility point, dispatching all cells as one rbcast.RunBatch
-// call. Rows print in t order regardless of worker count.
+// crash impossibility point, dispatching all cells as one
+// rbcast.RunSweepJobs call. Rows print in t order regardless of worker
+// count.
 func runSweep(width, height, radius int, proto, place string, seed int64, workers int) {
 	protoKind, ok := map[string]rbcast.Protocol{
 		"flood": rbcast.ProtocolFlood,
@@ -207,7 +208,7 @@ func runSweep(width, height, radius int, proto, place string, seed int64, worker
 		}
 		jobs = append(jobs, rbcast.Job{Config: cfg, Plan: plan})
 	}
-	results := rbcast.RunBatch(jobs, rbcast.BatchOptions{Workers: workers})
+	results, _ := rbcast.RunSweepJobs(jobs, rbcast.BatchOptions{Workers: workers})
 
 	fmt.Printf("sweep: %s on %dx%d torus, r=%d, %s faults (silent adversary unless flood)\n",
 		proto, width, height, radius, place)

@@ -9,7 +9,7 @@
 //	bench                       # full run → BENCH_3.json
 //	bench -smoke                # one run per scenario, golden-hash check only
 //	bench -against FILE         # full run, fail on >threshold% alloc regression
-//	bench -sweep                # sweep workload: RunSweep vs RunBatch, gated ≥2x
+//	bench -sweep                # sweep workload: RunSweepJobs vs scalar runs, gated ≥2x
 //
 // The -smoke mode is wired into `make verify`; scripts/benchdiff.sh wraps
 // -against with the committed baseline. Timing (ns_op) is machine-dependent
@@ -29,6 +29,7 @@ import (
 	"time"
 
 	rbcast "repro"
+	"repro/internal/pool"
 	"repro/internal/scenarios"
 )
 
@@ -69,7 +70,7 @@ func main() {
 	golden := flag.String("golden", "testdata/results.golden", "golden hash file for -smoke")
 	against := flag.String("against", "", "baseline JSON report to compare allocations against")
 	threshold := flag.Float64("threshold", 10, "allowed allocs_op regression vs -against, in percent")
-	sweep := flag.Bool("sweep", false, "run the sweep workload: RunSweep vs RunBatch on a crash-round grid")
+	sweep := flag.Bool("sweep", false, "run the sweep workload: RunSweepJobs vs scalar runs on a crash-round grid")
 	minSpeedup := flag.Float64("min-speedup", 2, "minimum node-round (or wall-clock) ratio the sweep workload must achieve")
 	flag.Parse()
 
@@ -172,8 +173,9 @@ func sweepWorkloads() []struct {
 	}
 }
 
-// runSweepBench measures the incremental sweep engine against scalar
-// RunBatch on the same grids: per-element results must match exactly, and
+// runSweepBench measures the incremental sweep engine against the scalar
+// reference — an independent rbcast.Run per element over the same worker
+// pool — on the same grids: per-element results must match exactly, and
 // the simulated node-round reduction (or, failing that, wall clock) must
 // reach minSpeedup. This is the performance gate for the sweep engine.
 func runSweepBench(minSpeedup float64) error {
@@ -182,17 +184,21 @@ func runSweepBench(minSpeedup float64) error {
 		if err != nil {
 			return fmt.Errorf("%s: %v", wl.name, err)
 		}
-		batchStart := time.Now()
-		batch := rbcast.RunBatch(jobs, rbcast.BatchOptions{})
-		batchWall := time.Since(batchStart)
+		scalarStart := time.Now()
+		scalar := make([]rbcast.BatchResult, len(jobs))
+		pool.Run(0, len(jobs), func(i int) {
+			res, err := rbcast.Run(jobs[i].Config, jobs[i].Plan)
+			scalar[i] = rbcast.BatchResult{Result: res, Err: err}
+		})
+		scalarWall := time.Since(scalarStart)
 		sweepStart := time.Now()
 		swept, stats := rbcast.RunSweepJobs(jobs, rbcast.BatchOptions{})
 		sweepWall := time.Since(sweepStart)
 		for i := range jobs {
-			if batch[i].Err != nil || swept[i].Err != nil {
-				return fmt.Errorf("%s[%d]: batch err %v, sweep err %v", wl.name, i, batch[i].Err, swept[i].Err)
+			if scalar[i].Err != nil || swept[i].Err != nil {
+				return fmt.Errorf("%s[%d]: scalar err %v, sweep err %v", wl.name, i, scalar[i].Err, swept[i].Err)
 			}
-			bh, err := scenarios.ResultHash(batch[i].Result)
+			bh, err := scenarios.ResultHash(scalar[i].Result)
 			if err != nil {
 				return fmt.Errorf("%s[%d]: %v", wl.name, i, err)
 			}
@@ -205,11 +211,11 @@ func runSweepBench(minSpeedup float64) error {
 			}
 		}
 		nodeRatio := float64(stats.ScalarNodeRounds) / float64(max(stats.NodeRounds, 1))
-		wallRatio := float64(batchWall) / float64(max(int64(sweepWall), 1))
+		wallRatio := float64(scalarWall) / float64(max(int64(sweepWall), 1))
 		fmt.Printf("%-14s %3d elements  %4d sims  %3d forks  node-rounds %d vs %d (%.2fx)  wall %v vs %v (%.2fx)\n",
 			wl.name, stats.Elements, stats.Simulations, stats.Forks,
 			stats.NodeRounds, stats.ScalarNodeRounds, nodeRatio,
-			sweepWall.Round(time.Millisecond), batchWall.Round(time.Millisecond), wallRatio)
+			sweepWall.Round(time.Millisecond), scalarWall.Round(time.Millisecond), wallRatio)
 		if nodeRatio < minSpeedup && wallRatio < minSpeedup {
 			return fmt.Errorf("%s: node-round ratio %.2fx and wall ratio %.2fx both below the %.1fx gate",
 				wl.name, nodeRatio, wallRatio, minSpeedup)

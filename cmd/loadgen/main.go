@@ -15,9 +15,10 @@
 //  2. queue backpressure — with a slow batch occupying the depth-1 queue,
 //     a second submission must shed with 429 + Retry-After, and a
 //     retrying client must get it accepted once the queue drains.
-//  3. deadline isolation — the slow batch element must fail individually
-//     with a partial result marked by the job deadline while its sibling
-//     elements complete, and the daemon must stay healthy throughout.
+//  3. deadline isolation — the slow batch element, its own execution
+//     unit, must fail with a partial result marked by the job deadline
+//     while its sibling elements complete, and the daemon must stay
+//     healthy throughout.
 //
 // It exits 0 only if every phase held and the final /metrics shows the
 // sheds and deadline stops the phases provoked — and no recovered panics.

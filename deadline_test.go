@@ -78,7 +78,7 @@ func TestRunBatchJobTimeout(t *testing.T) {
 
 	// A vanishing timeout deadlines the job; a generous one does not. Both
 	// go through the same WithTimeout plumbing.
-	out := RunBatch(jobs, BatchOptions{JobTimeout: time.Nanosecond})
+	out, _ := RunSweepJobs(jobs, BatchOptions{JobTimeout: time.Nanosecond})
 	if len(out) != 1 || !errors.Is(out[0].Err, ErrDeadline) {
 		t.Fatalf("1ns timeout: %+v, want ErrDeadline", out)
 	}
@@ -86,7 +86,7 @@ func TestRunBatchJobTimeout(t *testing.T) {
 		t.Errorf("1ns timeout: partial result not scored: %+v", out[0].Result)
 	}
 
-	out = RunBatch(jobs, BatchOptions{JobTimeout: time.Minute})
+	out, _ = RunSweepJobs(jobs, BatchOptions{JobTimeout: time.Minute})
 	if out[0].Err != nil {
 		t.Fatalf("1m timeout: unexpected error %v", out[0].Err)
 	}
@@ -95,20 +95,68 @@ func TestRunBatchJobTimeout(t *testing.T) {
 	}
 }
 
-func TestRunBatchPanicIsolation(t *testing.T) {
+// TestRunSweepJobsTimeoutCutsWholeUnits pins what JobTimeout bounds: one
+// execution unit. Under a vanishing timeout, a crash-round fork family
+// shares its trunk, so it is cut together and every member carries the
+// trunk's one partial state; an unrelated job in the same call is its own
+// unit and is cut on its own.
+func TestRunSweepJobsTimeoutCutsWholeUnits(t *testing.T) {
+	family, err := SweepSpec{
+		Base: Job{
+			Config: Config{Width: 16, Height: 12, Radius: 1, Protocol: ProtocolFlood, Value: 1},
+			Plan:   FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash},
+		},
+		Axes: SweepAxes{CrashRounds: []int{2, 3, 4, 5}},
+	}.Elements()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg, plan := deadlineScenario()
-	jobs := []Job{{Config: cfg, Plan: plan}, {Config: cfg, Plan: plan}, {Config: cfg, Plan: plan}}
+	jobs := append(family, Job{Config: cfg, Plan: plan})
 
-	// The dispatch hook runs inside each worker's recover scope, so a
-	// panic here is indistinguishable from a panicking scenario.
-	batchJobDispatched = func(i int) {
+	out, stats := RunSweepJobs(jobs, BatchOptions{JobTimeout: time.Nanosecond})
+	for i, br := range out {
+		if !errors.Is(br.Err, ErrDeadline) {
+			t.Fatalf("job %d: err = %v, want ErrDeadline", i, br.Err)
+		}
+		if br.Result.Honest == 0 || br.Result.Quiesced {
+			t.Errorf("job %d: partial result not scored: %+v", i, br.Result)
+		}
+	}
+	if stats.Simulations != 2 {
+		t.Errorf("Simulations = %d, want 2: the family's trunk and the unrelated job", stats.Simulations)
+	}
+	shared := sweepHash(t, out[0].Result)
+	for i := 1; i < len(family); i++ {
+		if sweepHash(t, out[i].Result) != shared {
+			t.Errorf("family member %d was not cut to the trunk's partial state", i)
+		}
+	}
+	if sweepHash(t, out[len(family)].Result) == shared {
+		t.Error("the unrelated job carries the family's partial state")
+	}
+}
+
+func TestRunBatchPanicIsolation(t *testing.T) {
+	// Three distinct jobs, so each is its own execution unit: identical
+	// jobs would share one execution, and so one panic.
+	cfg, plan := deadlineScenario()
+	var jobs []Job
+	for _, bound := range []int{2, 1, 0} {
+		cfg.T = bound
+		jobs = append(jobs, Job{Config: cfg, Plan: plan})
+	}
+
+	// The dispatch hook runs inside each unit's recover scope, so a panic
+	// here is indistinguishable from a panicking scenario.
+	unitDispatched = func(i int) {
 		if i == 1 {
 			panic("synthetic job bug")
 		}
 	}
-	defer func() { batchJobDispatched = nil }()
+	defer func() { unitDispatched = nil }()
 
-	out := RunBatch(jobs, BatchOptions{})
+	out, _ := RunSweepJobs(jobs, BatchOptions{})
 	var pe *PanicError
 	if !errors.As(out[1].Err, &pe) {
 		t.Fatalf("job 1 error = %v, want *PanicError", out[1].Err)

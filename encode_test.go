@@ -391,19 +391,19 @@ func TestFingerprintZeroValueAliases(t *testing.T) {
 	}
 }
 
-// decodeJobStrict decodes one Job the way rbcastd decodes request bodies:
+// decodeStrict decodes one value the way rbcastd decodes request bodies:
 // unknown fields and trailing data are errors.
-func decodeJobStrict(data []byte) (Job, error) {
-	var j Job
+func decodeStrict[T any](data []byte) (T, error) {
+	var v, zero T
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		return Job{}, err
+	if err := dec.Decode(&v); err != nil {
+		return zero, err
 	}
 	if dec.More() {
-		return Job{}, errors.New("trailing data after JSON value")
+		return zero, errors.New("trailing data after JSON value")
 	}
-	return j, nil
+	return v, nil
 }
 
 // FuzzJobFingerprint fuzzes the wire surface's identity: any body that
@@ -425,7 +425,7 @@ func FuzzJobFingerprint(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		j, err := decodeJobStrict(data)
+		j, err := decodeStrict[Job](data)
 		if err != nil {
 			return
 		}
@@ -434,7 +434,7 @@ func FuzzJobFingerprint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %+v: %v", j, err)
 		}
-		back, err := decodeJobStrict(enc)
+		back, err := decodeStrict[Job](enc)
 		if err != nil {
 			t.Fatalf("strict re-decode of %s: %v", enc, err)
 		}

@@ -15,10 +15,11 @@ import (
 // (context.DeadlineExceeded) from an explicit cancel (context.Canceled).
 var ErrDeadline = errors.New("rbcast: deadline exceeded")
 
-// PanicError is the failure recorded for a batch job whose scenario
-// panicked. The worker recovers it, so a panicking job fails alone — the
-// daemon, the batch, and every sibling job are unaffected — while the
-// captured stack preserves the evidence a crash would have printed.
+// PanicError is the failure recorded for a job whose scenario panicked.
+// The worker recovers it, so a panic fails only the jobs of its execution
+// unit (see RunSweepJobs) — the daemon, the batch, and every other job are
+// unaffected — while the captured stack preserves the evidence a crash
+// would have printed.
 type PanicError struct {
 	// Index is the job's position in the batch; negative for a panic
 	// outside a batch (a single synchronous run).

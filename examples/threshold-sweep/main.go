@@ -6,10 +6,10 @@
 // (greedy checkerboard-first packing) plus the exact Fig 13 construction at
 // the impossibility point; the crash column uses the Fig 8 band.
 //
-// The whole sweep is dispatched as one rbcast.RunBatch call: every (t,
-// protocol) cell is an independent job, executed across GOMAXPROCS workers,
-// with results returned in job order so the printed table is identical to a
-// sequential loop.
+// The whole sweep is dispatched as one rbcast.RunSweepJobs call: every (t,
+// protocol) cell is a job, executed across GOMAXPROCS workers, with results
+// returned in job order so the printed table is identical to a sequential
+// loop.
 package main
 
 import (
@@ -36,7 +36,7 @@ func main() {
 		}
 		jobs = append(jobs, crashJob(r, t))
 	}
-	results := rbcast.RunBatch(jobs, rbcast.BatchOptions{})
+	results, _ := rbcast.RunSweepJobs(jobs, rbcast.BatchOptions{})
 
 	for t := 0; t <= tMax; t++ {
 		row := fmt.Sprintf("%-3d", t)

@@ -1,7 +1,7 @@
 // Package server implements rbcastd's HTTP/JSON serving layer: scenario
 // execution behind a fingerprint-keyed LRU result cache with single-flight
-// deduplication, asynchronous batch jobs on the rbcast.RunBatch worker
-// substrate, and Prometheus-text observability.
+// deduplication, asynchronous batch jobs and parameter sweeps on the
+// rbcast.RunSweepJobs executor, and Prometheus-text observability.
 //
 // Endpoints:
 //

@@ -70,8 +70,10 @@ type ProgressEvent struct {
 	// NodeRounds is the simulated work performed so far: Σ rounds ×
 	// network size over this job's fresh executions.
 	NodeRounds int64 `json:"node_rounds"`
-	// DedupHits counts elements resolved without a fresh execution:
-	// result-cache hits plus within-batch duplicate fingerprints.
+	// DedupHits counts elements resolved without a fresh execution of
+	// their own: result-cache hits, within-batch duplicate fingerprints,
+	// and elements that shared another element's execution in the sweep
+	// engine (rbcast.ProgressUpdate.SharedResults).
 	DedupHits int `json:"dedup_hits"`
 	// Errors counts elements that finished with an error (terminal event
 	// only; partial deadline results are included).
@@ -164,9 +166,10 @@ func (j *batchJob) snapshot() (ProgressEvent, chan struct{}, bool) {
 	return j.progress, j.changed, j.done
 }
 
-// handleBatch accepts a job list and executes it asynchronously on the
-// RunBatch worker substrate, deduplicating against the result cache and
-// within the batch itself. The response carries the id to poll.
+// handleBatch accepts a job list and executes it asynchronously through
+// resolveJobs — cache hits and within-batch duplicates resolve without
+// simulating, the misses run on rbcast.RunSweepJobs. The response carries
+// the id to poll.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -203,10 +206,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	workers := s.opts.Workers
-	if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-		workers = req.Workers
-	}
 	// Async jobs get their own timeline in the flight recorder, keyed by
 	// job id: the HTTP accept above records only decode + admission, while
 	// the job trace attributes the execution (queue wait, slot wait,
@@ -221,10 +220,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.wg.Done()
 		defer s.queueDepth.Add(-1)
-		// Panic isolation for the stitching path itself: rbcast.RunBatch
-		// already confines per-scenario panics to their element, so this
-		// recover only fires on a server bug — the job fails, the daemon
-		// and its sibling jobs do not.
+		// Panic isolation for the stitching path itself:
+		// rbcast.RunSweepJobs already confines per-scenario panics to
+		// their elements, so this recover only fires on a server bug — the
+		// job fails, the daemon and its sibling jobs do not.
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -252,7 +251,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			jtr.End(slotSp)
 			defer func() { <-s.runSlots }()
 		}
-		results := s.runBatch(jtr, job, req.Jobs, workers)
+		jobs := make([]rbcast.Job, len(req.Jobs))
+		for i, rr := range req.Jobs {
+			jobs[i] = rbcast.Job(rr)
+		}
+		results, _ := s.resolveJobs(jtr, obs.Root, jobs, req.Workers, job)
 		job.finish(results)
 		jtr.Finish(http.StatusOK)
 		s.rec.Record(jtr)
@@ -266,20 +269,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runBatch resolves a job list against the cache, executes the distinct
-// misses via the batch runner (the rbcast.RunBatch pool substrate), stores
-// fresh results, and stitches everything back in job order. tr (nil when
-// the flight recorder is disarmed) receives cache-scan and engine spans;
-// job receives live progress snapshots.
-func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, workers int) []element {
-	results := make([]element, len(reqs))
+// resolveJobs is the one way /v1/batch and /v1/sweep execute a job list.
+// It fingerprints each job and serves cache hits, resolves a repeated
+// fingerprint from its first occurrence (marked cached), runs the misses
+// through Options.SweepRunner under the request's worker cap, and settles
+// every executed element. tr (nil when the flight recorder is disarmed)
+// receives the cache-scan and engine spans under parent. job is the
+// /v1/batch job, nil for a sweep: it receives live progress, and each of
+// its fresh successes feeds the per-run engine totals, which a sweep
+// feeds from the returned stats instead (API.md, "/metrics").
+func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job, workers int, job *batchJob) ([]element, rbcast.SweepStats) {
+	results := make([]element, len(jobs))
 	firstIndex := make(map[string]int) // fingerprint → first miss index
 	var missJobs []rbcast.Job
 	var missIndex []int
-	scanSp := tr.Start(obs.Root, "cache_scan")
+	scanSp := tr.Start(parent, "cache_scan")
 	cached := 0
-	for i, rr := range reqs {
-		rj := rbcast.Job{Config: rr.Config, Plan: rr.Plan}
+	for i, rj := range jobs {
 		fp := rj.Fingerprint()
 		results[i].fp = fp
 		if res, ok := s.cache.Get(fp); ok {
@@ -296,37 +302,45 @@ func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, worke
 		missJobs = append(missJobs, rj)
 		missIndex = append(missIndex, i)
 	}
-	dups := len(reqs) - cached - len(missJobs)
+	dups := len(jobs) - cached - len(missJobs)
 	tr.AnnotateInt(scanSp, "hits", int64(cached))
 	tr.AnnotateInt(scanSp, "dups", int64(dups))
 	tr.AnnotateInt(scanSp, "misses", int64(len(missJobs)))
 	tr.End(scanSp)
-	// Seed the progress stream: everything dedup-resolved is already done
-	// (duplicates stitch from their first occurrence, which the engine
-	// completion below accounts for).
-	job.update(cached, 0, cached+dups)
 
+	opts := rbcast.BatchOptions{Workers: s.opts.Workers, JobTimeout: s.opts.JobTimeout}
+	if workers > 0 && (opts.Workers <= 0 || workers < opts.Workers) {
+		opts.Workers = workers
+	}
+	if job != nil {
+		// Seed the progress stream: everything dedup-resolved is already
+		// done (duplicates stitch from their first occurrence, which the
+		// engine completion below accounts for).
+		job.update(cached, 0, cached+dups)
+		opts.Progress = func(up rbcast.ProgressUpdate) {
+			job.update(cached+up.Done, up.NodeRounds, cached+dups+up.SharedResults)
+		}
+	}
+	var stats rbcast.SweepStats
 	if len(missJobs) > 0 {
-		engSp := tr.Start(obs.Root, "engine")
+		// The engine span parents the executor's own spans (sweep_plan,
+		// one job span per execution unit, fork), carried in through
+		// BatchOptions.Context.
+		engSp := tr.Start(parent, "engine")
+		opts.Context = obs.ContextWith(context.Background(), tr, engSp)
 		s.inflightRuns.Add(int64(len(missJobs)))
-		batch := s.opts.BatchRunner(missJobs, rbcast.BatchOptions{
-			Workers:    workers,
-			JobTimeout: s.opts.JobTimeout,
-			Context:    obs.ContextWith(context.Background(), tr, engSp),
-			Progress: func(up rbcast.ProgressUpdate) {
-				job.update(cached+up.Done, up.NodeRounds, cached+dups)
-			},
-		})
+		var batch []rbcast.BatchResult
+		batch, stats = s.opts.SweepRunner(missJobs, opts)
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
 		for k, br := range batch {
-			if s.settle(&results[missIndex[k]], br) {
+			if s.settle(&results[missIndex[k]], br) && job != nil {
 				s.observe(br.Result)
 			}
 		}
 	}
 
-	// Resolve within-batch duplicates from their first occurrence.
+	// Resolve within-request duplicates from their first occurrence.
 	for i := range results {
 		if results[i].res != nil || results[i].err != "" {
 			continue
@@ -336,20 +350,25 @@ func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, worke
 		results[i].err = first.err
 		results[i].partial = first.partial
 	}
-	return results
+	return results, stats
 }
 
 // settle fills an executed batch or sweep element from its result. A
 // success is packed and cached. An element cut by the job deadline
 // surfaces its partial state alongside the error, packed but never
-// cached; any other failure keeps only its error. It reports success.
+// cached; a panicked element is counted as a recovered panic; any other
+// failure keeps only its error. It reports success.
 func (s *Server) settle(el *element, br rbcast.BatchResult) bool {
 	if br.Err != nil {
 		el.err = br.Err.Error()
-		if errors.Is(br.Err, rbcast.ErrDeadline) {
+		var pe *rbcast.PanicError
+		switch {
+		case errors.Is(br.Err, rbcast.ErrDeadline):
 			s.deadlineRuns.Add(1)
 			packed := br.Result.Pack()
 			el.res, el.partial = &packed, true
+		case errors.As(br.Err, &pe):
+			s.panicsRecovered.Add(1)
 		}
 		return false
 	}

@@ -340,9 +340,9 @@ func submitBatch(t *testing.T, ts *httptest.Server, jobs []RunRequest) BatchResp
 func TestJobEventsStreamToTerminal(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			<-release
-			return rbcast.RunBatch(jobs, opts)
+			return rbcast.RunSweepJobs(jobs, opts)
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -368,6 +368,30 @@ func TestJobEventsStreamToTerminal(t *testing.T) {
 	last := events[len(events)-1]
 	if last.NodeRounds == 0 || last.DedupHits == 0 || last.Errors != 0 {
 		t.Errorf("terminal event = %+v, want executed work, the duplicate deduped, no errors", last)
+	}
+}
+
+// TestJobEventsCountEngineSharing: two flood jobs that differ only in t
+// (dead for flood) simulate once, so the second is a dedup hit.
+func TestJobEventsCountEngineSharing(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+
+	a := RunRequest{Config: rbcast.Config{Width: 16, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, T: 1, Value: 1}}
+	b := a
+	b.Config.T = 2
+	ack := submitBatch(t, ts, []RunRequest{a, b})
+	resp := startEvents(t, ts, ack.ID)
+	defer resp.Body.Close()
+	events := decodeEvents(t, resp.Body)
+	assertMonotoneToTerminal(t, events, 2)
+	res, err := rbcast.Run(a.Config, a.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := int64(res.Rounds) * int64(len(res.Decisions))
+	if last := events[len(events)-1]; last.DedupHits != 1 || last.NodeRounds != once {
+		t.Errorf("terminal event = %+v, want dedup_hits 1 and node_rounds %d (one simulation)", last, once)
 	}
 }
 
@@ -422,7 +446,7 @@ func TestJobEventsAlreadyDone(t *testing.T) {
 func TestJobEventsTerminalOnPanic(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			<-release
 			panic("stitching bug")
 		},

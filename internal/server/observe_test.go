@@ -126,9 +126,9 @@ func TestTraceEndpointErrors(t *testing.T) {
 func TestTraceEndpointWhileRunning(t *testing.T) {
 	release := make(chan struct{})
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			<-release
-			return rbcast.RunBatch(jobs, opts)
+			return rbcast.RunSweepJobs(jobs, opts)
 		},
 	})
 	ts := httptest.NewServer(srv)

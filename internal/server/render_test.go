@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	rbcast "repro"
@@ -48,11 +49,16 @@ func floodScenario() RunRequest {
 // rendering of the value it decodes to. Decoding is lossless, so this is
 // the wire contract the packed renderer must keep.
 func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
+	// The runner holds executions only once the batch below arms the
+	// gate: the sweeps run first through the same runner.
 	release := make(chan struct{})
+	var gated atomic.Bool
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, o rbcast.BatchOptions) []rbcast.BatchResult {
-			<-release
-			return rbcast.RunBatch(jobs, o)
+		SweepRunner: func(jobs []rbcast.Job, o rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
+			if gated.Load() {
+				<-release
+			}
+			return rbcast.RunSweepJobs(jobs, o)
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -125,6 +131,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 	// element and a traced one, read while running and once done.
 	bad := testScenario()
 	bad.Config.T = -1
+	gated.Store(true)
 	ack := submitBatch(t, ts, []RunRequest{testScenario(), floodScenario(), floodScenario(), bad, otherScenario(2)})
 	resp, body = getBody(t, ts, ack.StatusURL)
 	var running JobStatus

@@ -65,10 +65,10 @@ func TestBatchQueueFullSheds(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	srv := New(Options{
 		QueueDepth: 1,
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			entered <- struct{}{}
 			<-release
-			return rbcast.RunBatch(jobs, opts)
+			return rbcast.RunSweepJobs(jobs, opts)
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -228,23 +228,24 @@ func TestSyncRunDeadlineMapsTo504(t *testing.T) {
 
 func TestBatchDeadlineElementIsPartialAndUncached(t *testing.T) {
 	// The injected runner deadline-fails the first element with a partial
-	// result and completes the rest, mimicking what rbcast.RunBatch returns
-	// when one element blows JobTimeout (the genuine article is covered by
-	// TestRunBatchJobTimeout in the root package and by scripts/load_smoke.sh
-	// end to end). This pins the server half: Partial marking, sibling
-	// isolation, the deadline counter, and the no-cache rule.
+	// result and completes the rest, mimicking what rbcast.RunSweepJobs
+	// returns when one element's execution unit blows JobTimeout (the
+	// genuine article is covered by TestRunBatchJobTimeout in the root
+	// package and by scripts/load_smoke.sh end to end). This pins the
+	// server half: Partial marking, sibling isolation, the deadline
+	// counter, and the no-cache rule.
 	calls := 0
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			calls++
-			out := rbcast.RunBatch(jobs, opts)
+			out, stats := rbcast.RunSweepJobs(jobs, opts)
 			if calls == 1 {
 				out[0] = rbcast.BatchResult{
 					Result: rbcast.Result{Rounds: 2},
 					Err:    fmt.Errorf("stub: %w", rbcast.ErrDeadline),
 				}
 			}
-			return out
+			return out, stats
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -294,7 +295,7 @@ func TestBatchDeadlineElementIsPartialAndUncached(t *testing.T) {
 
 func TestBatchGoroutinePanicFailsJobNotDaemon(t *testing.T) {
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			panic("synthetic stitching bug")
 		},
 	})
@@ -327,5 +328,41 @@ func TestBatchGoroutinePanicFailsJobNotDaemon(t *testing.T) {
 	_, metrics := getBody(t, ts, "/metrics")
 	if !strings.Contains(string(metrics), "rbcastd_panics_recovered_total 1") {
 		t.Error("batch panic not counted in /metrics")
+	}
+}
+
+// TestElementPanicsCounted: a batch or sweep element that settles with a
+// *rbcast.PanicError counts once in rbcastd_panics_recovered_total, and
+// its siblings complete.
+func TestElementPanicsCounted(t *testing.T) {
+	srv := New(Options{
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
+			out, stats := rbcast.RunSweepJobs(jobs, opts)
+			out[0] = rbcast.BatchResult{Err: &rbcast.PanicError{Index: 0, Value: "synthetic element bug"}}
+			return out, stats
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	ack := submitBatch(t, ts, []RunRequest{testScenario(), otherScenario(1)})
+	st := pollJob(t, ts, ack.ID)
+	if !strings.Contains(st.Results[0].Error, "panicked") || st.Results[1].Error != "" {
+		t.Errorf("batch elements = %+v, want element 0 panicked and element 1 complete", st.Results)
+	}
+	resp, body := postJSON(t, ts, "/v1/sweep", SweepRequest{
+		Base: RunRequest{Config: rbcast.Config{Width: 10, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1}},
+		Axes: rbcast.SweepAxes{Placements: []rbcast.Placement{rbcast.PlaceNone, rbcast.PlaceBand}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	_, elements, _ := decodeSweepStream(t, body)
+	if !strings.Contains(elements[0].Error, "panicked") || elements[1].Error != "" {
+		t.Errorf("sweep elements = %+v, want element 0 panicked and element 1 complete", elements)
+	}
+	_, metrics := getBody(t, ts, "/metrics")
+	if !strings.Contains(string(metrics), "rbcastd_panics_recovered_total 2") {
+		t.Error("element panics not counted in /metrics, want 2")
 	}
 }

@@ -38,19 +38,19 @@ type Options struct {
 	// sync runs are shed with 429 + Retry-After (a cache hit is still
 	// served); accepted batch jobs wait for a slot.
 	MaxInflight int
-	// JobTimeout bounds each scenario execution's wall clock (≤ 0: none).
-	// A sync run over it fails with 504; a batch element over it fails
-	// individually with a partial result while its siblings complete.
+	// JobTimeout bounds each execution's wall clock (≤ 0: none). A sync
+	// run over it fails with 504. In /v1/batch and /v1/sweep it bounds
+	// each execution unit — one shared execution, or a whole crash-round
+	// fork family (rbcast.BatchOptions.JobTimeout): every element of a
+	// unit over it comes back partial, while other units complete.
 	JobTimeout time.Duration
 	// Runner executes one scenario for /v1/run (nil: rbcast.RunContext).
 	// Tests inject counting or blocking runners. The context carries the
 	// server's job deadline; runners should stop when it is done.
 	Runner func(context.Context, rbcast.Config, rbcast.FaultPlan) (rbcast.Result, error)
-	// BatchRunner executes a batch job's cache misses (nil:
-	// rbcast.RunBatch). The BatchOptions carry the server's JobTimeout.
-	BatchRunner func([]rbcast.Job, rbcast.BatchOptions) []rbcast.BatchResult
-	// SweepRunner executes a sweep's cache misses through the incremental
-	// sweep engine (nil: rbcast.RunSweepJobs).
+	// SweepRunner executes the cache misses of a batch job or a sweep
+	// (nil: rbcast.RunSweepJobs). The BatchOptions carry the server's
+	// JobTimeout. Tests inject blocking or failing runners.
 	SweepRunner func([]rbcast.Job, rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats)
 	// Logger receives one structured line per request (nil: no request
 	// logging). Metrics and request ids are recorded either way.
@@ -135,9 +135,6 @@ func New(opts Options) *Server {
 	}
 	if opts.Runner == nil {
 		opts.Runner = rbcast.RunContext
-	}
-	if opts.BatchRunner == nil {
-		opts.BatchRunner = rbcast.RunBatch
 	}
 	if opts.SweepRunner == nil {
 		opts.SweepRunner = rbcast.RunSweepJobs

@@ -332,10 +332,10 @@ func TestDrainWaitsForBatchJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	srv := New(Options{
-		BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
 			close(started)
 			<-release
-			return rbcast.RunBatch(jobs, opts)
+			return rbcast.RunSweepJobs(jobs, opts)
 		},
 	})
 	ts := httptest.NewServer(srv)

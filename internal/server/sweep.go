@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"net/http"
 
@@ -36,8 +35,8 @@ type SweepElement struct {
 	Fingerprint string         `json:"fingerprint"`
 	Result      *rbcast.Result `json:"result,omitempty"`
 	Error       string         `json:"error,omitempty"`
-	// Cached reports the element was served from the result cache without
-	// simulating.
+	// Cached reports the element was served without simulating: from the
+	// result cache, or from an earlier element with the same fingerprint.
 	Cached bool `json:"cached,omitempty"`
 	// Partial marks an element cut by the server's job deadline: Error
 	// carries the deadline error, Result the partial state (never cached).
@@ -50,13 +49,13 @@ type SweepTrailer struct {
 	Stats rbcast.SweepStats `json:"stats"`
 }
 
-// handleSweep plans a parameter grid server-side, serves cache hits without
-// simulating, executes the misses through the incremental sweep engine
-// (rbcast.RunSweepJobs: execution-key sharing plus wavefront-prefix forks),
-// and streams per-element results as NDJSON — header, one line per element
-// in grid order, stats trailer. Failure modes follow /v1/run: invalid grid
-// 400, draining 503, all execution slots taken 429 (Retry-After), deadline
-// elements marked partial inline.
+// handleSweep plans a parameter grid server-side, executes it through
+// resolveJobs — cache hits and repeated fingerprints resolve without
+// simulating, the misses run on rbcast.RunSweepJobs (execution-key sharing
+// plus wavefront-prefix forks) — and streams per-element results as NDJSON:
+// header, one line per element in grid order, stats trailer. Failure
+// modes follow /v1/run: invalid grid 400, draining 503, all execution slots
+// taken 429 (Retry-After), deadline elements marked partial inline.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr, root := obs.SpanFromContext(r.Context())
 	var req SweepRequest
@@ -97,51 +96,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	scanSp := tr.Start(root, "cache_scan")
-	results := make([]element, len(elements))
-	var missJobs []rbcast.Job
-	var missIndex []int
-	for i, job := range elements {
-		fp := job.Fingerprint()
-		results[i].fp = fp
-		if res, ok := s.cache.Get(fp); ok {
-			results[i].res = res
-			results[i].cached = true
-			continue
-		}
-		// No within-sweep fingerprint dedup here: the sweep engine's
-		// execution-key grouping subsumes it (identical fingerprints have
-		// identical execution keys) and shares more besides.
-		missJobs = append(missJobs, job)
-		missIndex = append(missIndex, i)
-	}
-	tr.AnnotateInt(scanSp, "elements", int64(len(elements)))
-	tr.AnnotateInt(scanSp, "misses", int64(len(missJobs)))
-	tr.End(scanSp)
-
-	var stats rbcast.SweepStats
-	if len(missJobs) > 0 {
-		workers := s.opts.Workers
-		if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-			workers = req.Workers
-		}
-		// The engine span parents the sweep engine's own spans
-		// (sweep_plan, per-unit sweep_unit, per-branch fork), carried in
-		// through BatchOptions.Context.
-		engSp := tr.Start(root, "engine")
-		s.inflightRuns.Add(int64(len(missJobs)))
-		var batch []rbcast.BatchResult
-		batch, stats = s.opts.SweepRunner(missJobs, rbcast.BatchOptions{
-			Workers:    workers,
-			JobTimeout: s.opts.JobTimeout,
-			Context:    obs.ContextWith(context.Background(), tr, engSp),
-		})
-		s.inflightRuns.Add(-int64(len(missJobs)))
-		tr.End(engSp)
-		for k, br := range batch {
-			s.settle(&results[missIndex[k]], br)
-		}
-	}
+	results, stats := s.resolveJobs(tr, root, elements, req.Workers, nil)
 	// Elements share executions by execution key, so the sweep feeds
 	// rbcastd_sim_runs_total with the simulations it actually ran; its
 	// work is counted in node-rounds, not in the per-run traffic totals.

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	rbcast "repro"
 )
@@ -158,6 +159,28 @@ func TestSweepEndpointRejectsBadGrids(t *testing.T) {
 		if el.Error == "" || el.Result != nil {
 			t.Errorf("element %d: want an element-level error, got %+v", i, el)
 		}
+	}
+}
+
+// TestSweepEndpointRejectsOverflowingGrid: a ~0.6 MB body whose four
+// 65,536-entry axes multiply to 2^64, which wraps int to 0, must be
+// answered 400 promptly. A grid that slipped past the cap would append
+// jobs until the daemon ran out of memory, so the test aborts the binary
+// if the answer does not come.
+func TestSweepEndpointRejectsOverflowingGrid(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+
+	axis := func(v string) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(v+",", 1<<16), ",") + "]"
+	}
+	body := json.RawMessage(`{"base":{"config":{}},"axes":{"placements":` + axis(`""`) +
+		`,"ts":` + axis("0") + `,"seeds":` + axis("0") + `,"crash_rounds":` + axis("0") + `}}`)
+	guard := time.AfterFunc(10*time.Second, func() { panic("/v1/sweep is expanding a grid over the cap") })
+	defer guard.Stop()
+	resp, out := postJSON(t, ts, "/v1/sweep", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing grid: status %d (%.200s), want 400", resp.StatusCode, out)
 	}
 }
 

@@ -50,9 +50,14 @@ func (s SweepSpec) Elements() ([]Job, error) {
 		return l
 	}
 	a := s.Axes
-	total := axis(len(a.Placements)) * axis(len(a.Ts)) * axis(len(a.Seeds)) * axis(len(a.CrashRounds))
-	if total > MaxSweepElements {
-		return nil, fmt.Errorf("rbcast: sweep expands to %d elements, limit %d", total, MaxSweepElements)
+	// The cap is checked after every factor: the full product of four
+	// request-sized axes can wrap int and pass a single final check.
+	total := 1
+	for _, l := range []int{len(a.Placements), len(a.Ts), len(a.Seeds), len(a.CrashRounds)} {
+		total *= axis(l)
+		if total > MaxSweepElements {
+			return nil, fmt.Errorf("rbcast: sweep expands to more than %d elements", MaxSweepElements)
+		}
 	}
 	jobs := make([]Job, 0, total)
 	for pi := 0; pi < axis(len(a.Placements)); pi++ {
@@ -82,8 +87,8 @@ func (s SweepSpec) Elements() ([]Job, error) {
 
 // SweepStats accounts for the work a sweep shared. NodeRounds versus
 // ScalarNodeRounds is the headline: simulated node-rounds actually spent
-// versus what running every element independently (RunBatch) would have
-// spent on the same grid.
+// versus what running every element independently would have spent on
+// the same grid.
 type SweepStats struct {
 	// Elements is the grid size.
 	Elements int `json:"elements"`
@@ -131,7 +136,7 @@ type sweepGroup struct {
 // (Metrics.Wall aside) to an independent Run of that element — sharing is an
 // execution strategy, never a semantic. The returned error only reports an
 // invalid spec (oversized grid); per-element failures travel in their
-// BatchResult exactly as in RunBatch.
+// BatchResult exactly as in RunSweepJobs.
 func RunSweep(spec SweepSpec, opts BatchOptions) ([]BatchResult, SweepStats, error) {
 	jobs, err := spec.Elements()
 	if err != nil {
@@ -141,22 +146,25 @@ func RunSweep(spec SweepSpec, opts BatchOptions) ([]BatchResult, SweepStats, err
 	return results, stats, nil
 }
 
-// RunSweepJobs executes an explicit element list with the same work sharing
-// as RunSweep (useful when the caller already expanded or filtered a grid —
-// rbcastd does, to serve cached elements without simulating). Sharing has
-// two layers:
+// RunSweepJobs is the executor for every multi-job caller: the rbcastd
+// batch and sweep endpoints, cmd/analyze -sweep, the threshold-sweep
+// example and the sweep experiments. It executes the jobs across a bounded worker pool and returns
+// one result per job, in job order, each byte-identical (Metrics.Wall
+// aside) to an independent Run of that job, at any worker count. Sharing
+// has two layers:
 //
-//  1. Execution-key grouping: elements whose jobs differ only in provably
-//     dead parameters (see executionKey) share one simulation.
-//  2. Wavefront-prefix forking: crash-fault elements identical up to the
+//  1. Execution-key grouping: jobs that differ only in provably dead
+//     parameters (see executionKey) share one simulation.
+//  2. Wavefront-prefix forking: crash-fault jobs identical up to the
 //     crash round run as one trunk engine that is forked at each divergence
 //     boundary (sim.Engine.Fork), so the shared delivery-wavefront prefix
 //     is simulated once.
 //
-// Elements that share an execution share the same Result value — treat
-// results as read-only. Options follow RunBatch, with one difference:
-// JobTimeout bounds each *execution unit* (a whole fork family counts as
-// one unit), not each element.
+// Jobs that share an execution share the same Result value — treat results
+// as read-only. An execution unit — one shared execution, or one fork
+// family — is also the unit of failure: a panic fails the unit's jobs with
+// a *PanicError instead of crashing the process, and BatchOptions.Context
+// and JobTimeout cut whole units, leaving every other unit to complete.
 func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 	results := make([]BatchResult, len(jobs))
 	stats := SweepStats{Elements: len(jobs)}
@@ -224,7 +232,7 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 		for _, g := range gs {
 			elements += len(g.indices)
 		}
-		unitSp := tr.Start(parent, "sweep_unit")
+		unitSp := tr.Start(parent, "job")
 		tr.AnnotateInt(unitSp, "elements", int64(elements))
 		tr.AnnotateInt(unitSp, "groups", int64(len(gs)))
 		defer func() {
@@ -241,6 +249,13 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 				}
 			}
 		}()
+		if hook := unitDispatched; hook != nil {
+			hook(ui)
+		}
+		// The check sits immediately before the run so cancellation
+		// arriving any time up to the unit's start is observed without
+		// paying for a run that is already unwanted; cancellation after the
+		// start is the engines' round-boundary check.
 		if ctx != nil {
 			select {
 			case <-ctx.Done():
@@ -280,6 +295,15 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 	}
 	return results, stats
 }
+
+// unitDispatched, when non-nil, runs with each execution unit's index
+// after the pool hands the unit to a worker and before the unit's
+// cancellation check, inside its panic-recovery scope. It is a test seam:
+// a panic in it is indistinguishable from a panicking scenario, and
+// cancelling the context in it models cancellation arriving in the
+// dispatch-to-start window (deterministic under Workers=1, where units run
+// in order of their first job).
+var unitDispatched func(ui int)
 
 // forkEligible reports whether a job can join a wavefront-prefix fork
 // family: sequential deterministic engine on the ideal medium, untraced,
@@ -393,7 +417,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		done, runErr := eng.RunUntil(boundary)
 		if runErr != nil || done {
 			// Deadline: every remaining element shares the trunk's partial
-			// state (sweep deadlines are per unit — see RunSweepJobs).
+			// state (deadlines cut whole units — see BatchOptions.JobTimeout).
 			// Termination at or before the boundary: the remaining crash
 			// rounds all lie beyond the execution's horizon (they exceed
 			// this boundary, which the run never reached), so the trunk's

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 )
 
 // sweepHash fingerprints a Result with Metrics.Wall zeroed — the same
@@ -195,6 +198,94 @@ func TestSweepElementsExpansion(t *testing.T) {
 	if _, err := big.Elements(); err == nil {
 		t.Error("oversized grid should be rejected")
 	}
+}
+
+// TestSweepElementsRejectsOverflowingGrid: four 65,536-entry axes multiply
+// to 2^64, which wraps int to 0. The cap must reject the grid before
+// expanding it. An expansion past the cap appends jobs until memory runs
+// out, so the test aborts the binary if Elements does not return promptly.
+func TestSweepElementsRejectsOverflowingGrid(t *testing.T) {
+	const n = 1 << 16
+	spec := SweepSpec{Axes: SweepAxes{
+		Placements:  make([]Placement, n),
+		Ts:          make([]int, n),
+		Seeds:       make([]int64, n),
+		CrashRounds: make([]int, n),
+	}}
+	guard := time.AfterFunc(time.Second, func() { panic("SweepSpec.Elements is expanding a grid over the cap") })
+	defer guard.Stop()
+	if jobs, err := spec.Elements(); err == nil || jobs != nil {
+		t.Fatalf("overflowing grid: %d jobs, err %v; want the cap error", len(jobs), err)
+	}
+}
+
+// FuzzSweepSpec fuzzes the multi-job wire path. Any body that strictly
+// decodes to a SweepSpec either fails to expand or expands within the
+// element cap. A tiny grid — at most 8 elements on at most 64 nodes, with
+// MaxRounds and Retransmit clamped to 8 — also runs through RunSweepJobs
+// without a panic and element for element equal to scalar runs.
+func FuzzSweepSpec(f *testing.F) {
+	sixteen := func(v string) string { return "[" + strings.TrimSuffix(strings.Repeat(v+",", 16), ",") + "]" }
+	for _, seed := range []string{
+		`{}`,
+		`{"base":{"config":{"width":8,"height":8,"radius":1,"protocol":"flood","value":1},"plan":{"placement":"band","strategy":"crash"}},"axes":{"ts":[0,1],"crash_rounds":[1,2,3]}}`,
+		`{"base":{"config":{"width":8,"height":6,"radius":1,"protocol":"cpa","t":1,"value":1},"plan":{"placement":"greedy-band","strategy":"crash"}},"axes":{"seeds":[1,2],"crash_rounds":[2,4]}}`,
+		`{"base":{"config":{"width":7,"height":7,"radius":1,"protocol":"bv4","t":1,"value":1},"plan":{"placement":"greedy-band","strategy":"silent"}},"axes":{"placements":["greedy-band","none"]}}`,
+		`{"base":{"config":{"width":8,"height":8,"radius":1,"protocol":"bv2","t":1,"concurrent":true},"plan":{"placement":"greedy-band","strategy":"liar"}},"axes":{"ts":[0,1,-1]}}`,
+		`{"base":{"config":{"topology":"custom","graph":{"nodes":4,"edges":[[0,1],[1,2],[2,3]]},"protocol":"bracha","t":1,"trace":true}},"axes":{"ts":[0,1]}}`,
+		`{"base":{"config":{"topology":"rgg","nodes":30,"rgg_radius":0.4,"protocol":"flood","value":1},"plan":{"placement":"random-bounded","count":3,"budget":1,"strategy":"crash"}},"axes":{"seeds":[1,2],"crash_rounds":[1,2,3]}}`,
+		`{"base":{"config":{"width":5,"height":5,"radius":1,"protocol":"flood","loss_rate":0.5,"retransmit":2,"medium_seed":3}},"axes":{"placements":["band","","none"]}}`,
+		`{"axes":{"placements":` + sixteen(`""`) + `,"ts":` + sixteen("0") + `,"seeds":` + sixteen("0") + `,"crash_rounds":` + sixteen("0") + `}}`,
+		`{"base":{"config":{"width":16}},"axes":{"ts":[1]},"workers":2}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := decodeStrict[SweepSpec](data)
+		if err != nil {
+			return
+		}
+		// Rounds and retransmissions multiply the work of every node.
+		c := &spec.Base.Config
+		if c.MaxRounds == 0 || c.MaxRounds > 8 {
+			c.MaxRounds = 8
+		}
+		c.Retransmit = min(c.Retransmit, 8)
+		jobs, err := spec.Elements()
+		if err != nil {
+			return
+		}
+		if len(jobs) > MaxSweepElements {
+			t.Fatalf("%d elements pass the %d-element cap", len(jobs), MaxSweepElements)
+		}
+		// The concurrent engine's traces interleave events within a round
+		// nondeterministically, so two runs of one element differ.
+		if len(jobs) > 8 || !tinyNetwork(*c) || (c.Concurrent && c.Trace) {
+			return
+		}
+		out, _ := RunSweepJobs(jobs, BatchOptions{})
+		for i, br := range out {
+			var pe *PanicError
+			if errors.As(br.Err, &pe) {
+				t.Fatalf("element %d panicked: %v\n%s", i, pe.Value, pe.Stack)
+			}
+		}
+		requireSweepMatchesScalar(t, "fuzz", jobs)
+	})
+}
+
+// tinyNetwork reports whether c builds at most 64 nodes, or is rejected
+// before building anything.
+func tinyNetwork(c Config) bool {
+	switch c.family() {
+	case TopologyTorus:
+		return c.Width <= 64 && c.Height <= 64 && c.Width*c.Height <= 64
+	case TopologyRGG:
+		return c.Nodes <= 64
+	case TopologyCustom:
+		return c.Graph == nil || c.Graph.Nodes <= 64
+	}
+	return true
 }
 
 // TestExecutionKeyBudgetTrap pins the one subtle non-collapse: flood ignores

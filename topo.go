@@ -167,7 +167,7 @@ type rggKey struct {
 
 // networkCache shares immutable graphs across runs: the adjacency and
 // closed-neighborhood rows are precomputed once per distinct constructor
-// parameters and reused by every subsequent Run/RunBatch call — including
+// parameters and reused by every subsequent Run/RunSweepJobs call — including
 // rbcastd cache misses, which repeatedly rebuild the same networks. Torus
 // and rgg graphs are cached (their keys are tiny); custom graphs are not —
 // their defining payload is the adjacency list itself, so caching would key
