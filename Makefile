@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify ci build vet test bench-module race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-diff bench-serve
+.PHONY: verify ci build vet test bench-module race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
 # request: tier-1 (build + test) plus vet, vet and tests of the bench/
@@ -10,8 +10,9 @@ GO ?= go
 # live-progress smoke test, the benchmark-scenario golden-hash smoke, and
 # the sweep-engine gate (bench-sweep: about a second, gated on the
 # deterministic node-round ratio, so a noisy runner cannot flake it). The
-# full benchmark suite, bench-diff, and bench-serve stay out — they need a
-# quiet machine and run in the nightly workflow instead.
+# allocation gate over the scenario matrix is a Go test (TestAllocBaseline),
+# so `test` runs it. The full benchmark suite and bench-serve stay out —
+# they need a quiet machine and run in the nightly workflow instead.
 ci: build vet test bench-module race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
@@ -84,7 +85,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 1
 
 # bench runs the full canonical scenario matrix and writes BENCH_3.json
-# (see PERFORMANCE.md for the methodology and field meanings).
+# (see PERFORMANCE.md for the methodology and field meanings). It reports
+# and gates nothing; TestAllocBaseline gates allocations on every push.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_3.json
 
@@ -109,8 +111,3 @@ bench-sweep:
 # BENCH_SERVE_REPORT to a file path to also keep the full JSON report.
 bench-serve:
 	bash bench/run.sh --seed 1 $(if $(BENCH_SERVE_REPORT),--report "$(BENCH_SERVE_REPORT)")
-
-# bench-diff runs the full suite and fails on a >10% allocation regression
-# against the committed baseline (testdata/bench_baseline.json).
-bench-diff:
-	GO="$(GO)" sh scripts/benchdiff.sh

@@ -8,13 +8,14 @@
 //
 //	bench                       # full run → BENCH_3.json
 //	bench -smoke                # one run per scenario, golden-hash check only
-//	bench -against FILE         # full run, fail on >threshold% alloc regression
 //	bench -sweep                # sweep workload: RunSweepJobs vs scalar runs, gated ≥2x
 //
-// The -smoke mode is wired into `make verify`; scripts/benchdiff.sh wraps
-// -against with the committed baseline. Timing (ns_op) is machine-dependent
-// and reported for information; the regression gate compares allocs_op,
-// which is deterministic for a fixed scenario matrix.
+// The -smoke and -sweep modes are wired into `make verify`. The full run
+// reports; it gates nothing. Timing (ns_op) is machine-dependent and
+// reported for information. The allocation gate is the root test
+// TestAllocBaseline, which compares every scenario's allocations per run
+// with allocs_op in testdata/bench_baseline.json (deterministic for a
+// fixed scenario matrix and Go version) on every push.
 package main
 
 import (
@@ -68,8 +69,6 @@ func main() {
 	out := flag.String("out", "BENCH_3.json", "output path for the JSON report (\"-\" = stdout)")
 	smoke := flag.Bool("smoke", false, "run each scenario once and only verify golden hashes")
 	golden := flag.String("golden", "testdata/results.golden", "golden hash file for -smoke")
-	against := flag.String("against", "", "baseline JSON report to compare allocations against")
-	threshold := flag.Float64("threshold", 10, "allowed allocs_op regression vs -against, in percent")
 	sweep := flag.Bool("sweep", false, "run the sweep workload: RunSweepJobs vs scalar runs on a crash-round grid")
 	minSpeedup := flag.Float64("min-speedup", 2, "minimum node-round (or wall-clock) ratio the sweep workload must achieve")
 	flag.Parse()
@@ -96,12 +95,6 @@ func main() {
 	if err := writeReport(rep, *out); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
-	}
-	if *against != "" {
-		if err := compare(rep, *against, *threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -279,61 +272,6 @@ func writeReport(rep report, out string) error {
 		return err
 	}
 	return os.WriteFile(out, data, 0o644)
-}
-
-// compare fails when any scenario's allocations regress beyond the
-// threshold relative to the baseline report. A scenario missing on either
-// side fails too: one dropped from the run or one the baseline does not
-// gate would leave its allocations unguarded, so adding a scenario means
-// regenerating the baseline with it.
-func compare(rep report, baselinePath string, threshold float64) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parsing %s: %v", baselinePath, err)
-	}
-	current := make(map[string]scenarioReport, len(rep.Scenarios))
-	for _, sr := range rep.Scenarios {
-		current[sr.Name] = sr
-	}
-	regressed := 0
-	for _, b := range base.Scenarios {
-		sr, ok := current[b.Name]
-		if !ok {
-			fmt.Printf("MISSING %s: in baseline but not in this run\n", b.Name)
-			regressed++
-			continue
-		}
-		if b.AllocsOp <= 0 {
-			continue
-		}
-		pct := 100 * float64(sr.AllocsOp-b.AllocsOp) / float64(b.AllocsOp)
-		if pct > threshold {
-			fmt.Printf("REGRESS %s: %d → %d allocs/op (%+.1f%% > %.0f%%)\n",
-				b.Name, b.AllocsOp, sr.AllocsOp, pct, threshold)
-			regressed++
-		} else {
-			fmt.Printf("ok      %-24s %d → %d allocs/op (%+.1f%%)\n",
-				b.Name, b.AllocsOp, sr.AllocsOp, pct)
-		}
-	}
-	gated := make(map[string]bool, len(base.Scenarios))
-	for _, b := range base.Scenarios {
-		gated[b.Name] = true
-	}
-	for _, sr := range rep.Scenarios {
-		if !gated[sr.Name] {
-			fmt.Printf("UNGATED %s: in this run but not in the baseline\n", sr.Name)
-			regressed++
-		}
-	}
-	if regressed > 0 {
-		return fmt.Errorf("%d scenario(s) regressed beyond %.0f%% or are missing vs %s", regressed, threshold, baselinePath)
-	}
-	return nil
 }
 
 // loadGolden parses a "name<TAB>hash" golden file.

@@ -1,24 +1,14 @@
-// Package etrace records structured execution events — broadcasts,
+// Package etrace defines the structured execution events — broadcasts,
 // deliveries, evidence evaluations, crashes, spoofed attributions and
-// commits with their justifying certificates — so a run can answer the
+// commits with their justifying certificates — that let a run answer the
 // question the paper's staged-induction arguments answer on paper: *why*
 // did node g commit value v at round k (Thm 1–3, §VI-B; Thm 6, §IX).
 //
-// The recorder follows the metrics.Collector tap discipline exactly: a nil
-// *Recorder is a valid no-op sink, every method begins with a nil check,
-// and the engines tap unconditionally — tracing off costs one predictable
-// branch per event site and zero allocations, which the alloc-regression
-// gates enforce.
+// It holds types only. A recording metrics.Collector (metrics.NewRecording)
+// keeps these events for a traced run; see package metrics for the tap
+// discipline and the determinism of the recorded order.
 //
-// Determinism: on the sequential engine the event order is fully
-// deterministic. On the concurrent runtime, broadcast and delivery events
-// are recorded in the engine's deterministic fan-out loops, but evidence
-// and commit events are recorded from node goroutines, so their
-// interleaving *within a round* varies run to run. The set of events and
-// every per-node subsequence are still deterministic; consumers needing a
-// canonical order sort by (Round, Node, record order).
-//
-// etrace deliberately depends only on topology (sim imports etrace, not
-// the reverse), so message kinds travel as raw uint8 and are re-interpreted
-// by the public conversion layer in the root package.
+// etrace deliberately depends only on topology (metrics imports etrace,
+// and sim imports metrics), so message kinds travel as raw uint8 and are
+// re-interpreted by the public conversion layer in the root package.
 package etrace

@@ -1,21 +1,20 @@
 package etrace
 
-import (
-	"sync"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // Kind discriminates recorded event types.
 type Kind uint8
 
 const (
-	// KindBroadcast is one local broadcast by a node.
+	// KindBroadcast is one local broadcast of a message by a node. With a
+	// Retransmit count k it stands for the k transmissions the engines
+	// count.
 	KindBroadcast Kind = iota + 1
 	// KindDelivery is one per-receiver message delivery.
 	KindDelivery
 	// KindEvidenceEval is one commit-rule evidence evaluation by an
-	// honest BV4/BV2 process.
+	// honest process: a BV4 or BV2 disjoint-path check or a Bracha quorum
+	// re-check.
 	KindEvidenceEval
 	// KindCrash marks a node silenced by the crash-stop adversary; Round
 	// is its first silent round.
@@ -112,105 +111,4 @@ type Event struct {
 	Claimed topology.NodeID
 	// Cert is the commit justification (commit events only).
 	Cert *Certificate
-}
-
-// Recorder accumulates events in order. It follows the metrics.Collector
-// tap discipline: a nil *Recorder is a valid no-op sink, so engines and
-// protocols tap unconditionally and pay one nil check when tracing is off.
-// All methods are safe for concurrent use — the concurrent runtime records
-// commit and evidence events from many node goroutines at once (within a
-// round their interleaving is scheduler-dependent; see the package doc).
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// New creates an empty recorder.
-func New() *Recorder { return &Recorder{} }
-
-// Enabled reports whether events are being recorded. Protocols use it to
-// skip certificate construction entirely on untraced runs.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// record appends one event under the lock.
-func (r *Recorder) record(ev Event) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-// copyPath defensively copies a message path: broadcast messages are
-// immutable, but the caller's backing slice may be reused after delivery.
-func copyPath(path []topology.NodeID) []topology.NodeID {
-	if len(path) == 0 {
-		return nil
-	}
-	return append([]topology.NodeID(nil), path...)
-}
-
-// Broadcast records one local broadcast of a message.
-func (r *Recorder) Broadcast(round int, from topology.NodeID, msgKind uint8, value byte, origin topology.NodeID, path []topology.NodeID) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Round: round, Kind: KindBroadcast, Node: from,
-		MsgKind: msgKind, Value: value, Origin: origin, Path: copyPath(path)})
-}
-
-// Delivery records one per-receiver delivery.
-func (r *Recorder) Delivery(round int, node, from topology.NodeID, msgKind uint8, value byte, origin topology.NodeID, path []topology.NodeID) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Round: round, Kind: KindDelivery, Node: node, From: from,
-		MsgKind: msgKind, Value: value, Origin: origin, Path: copyPath(path)})
-}
-
-// EvidenceEval records one commit-rule evidence evaluation about (origin,
-// value) at the evaluating node.
-func (r *Recorder) EvidenceEval(round int, node, origin topology.NodeID, value byte) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Round: round, Kind: KindEvidenceEval, Node: node, Origin: origin, Value: value})
-}
-
-// Crash records a node silenced from the given round onward.
-func (r *Recorder) Crash(round int, node topology.NodeID) {
-	if r == nil {
-		return
-	}
-	if round < 0 {
-		round = 0
-	}
-	r.record(Event{Round: round, Kind: KindCrash, Node: node})
-}
-
-// Spoof records a delivery whose attribution diverged from the physical
-// transmitter: node received from `from` but ascribed it to `claimed`.
-func (r *Recorder) Spoof(round int, node, from, claimed topology.NodeID) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Round: round, Kind: KindSpoof, Node: node, From: from, Claimed: claimed})
-}
-
-// Commit records a first-time decision with its justification. Cert may be
-// nil if the protocol could not reconstruct one (defensive; honest
-// protocols always supply it).
-func (r *Recorder) Commit(round int, node topology.NodeID, value byte, cert *Certificate) {
-	if r == nil {
-		return
-	}
-	r.record(Event{Round: round, Kind: KindCommit, Node: node, Value: value, Cert: cert})
-}
-
-// Events returns a copy of everything recorded so far, in record order.
-func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilCollectorIsNoOp(t *testing.T) {
@@ -12,9 +11,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddDeliveries(1, 3)
 	c.AddEvidenceEvals(1, 3)
 	c.AddCommit(1)
-	c.ObserveWall(time.Second)
 	snap := c.Snapshot()
-	if snap.Broadcasts != 0 || snap.Commits != 0 || len(snap.PerRound) != 0 || snap.Wall != 0 {
+	if snap.Broadcasts != 0 || snap.Commits != 0 || len(snap.PerRound) != 0 {
 		t.Errorf("nil collector recorded something: %+v", snap)
 	}
 }
@@ -29,14 +27,10 @@ func TestTotalsMatchPerRoundSums(t *testing.T) {
 	c.AddCommit(0)
 	c.AddCommit(2)
 	c.AddCommit(2)
-	c.ObserveWall(42 * time.Millisecond)
 
 	snap := c.Snapshot()
 	if snap.Broadcasts != 5 || snap.Deliveries != 16 || snap.EvidenceEvals != 5 || snap.Commits != 3 {
 		t.Fatalf("totals: %+v", snap)
-	}
-	if snap.Wall != 42*time.Millisecond {
-		t.Errorf("wall = %v", snap.Wall)
 	}
 	if len(snap.PerRound) != 3 {
 		t.Fatalf("rounds = %d, want 3", len(snap.PerRound))

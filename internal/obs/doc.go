@@ -4,8 +4,8 @@
 // time go" for one slow request the way /metrics answers it for the
 // whole daemon.
 //
-// It follows the repository's tap discipline (internal/metrics,
-// internal/etrace): a nil *Trace and a nil *Recorder are valid no-op
+// It follows the tap discipline of internal/metrics, the engines' one
+// instrumentation tap: a nil *Trace and a nil *Recorder are valid no-op
 // sinks, so the serving stack instruments unconditionally and pays one
 // pointer check per tap when the flight recorder is disarmed — the
 // allocation gates in alloc_test.go pin that the disarmed path allocates

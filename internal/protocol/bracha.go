@@ -64,8 +64,7 @@ type brachaProc struct {
 	// of v went out.
 	relayedVal [2]bool
 	relayed    [2][2]topology.NodeSet
-	mc         *metrics.Collector
-	tr         *etrace.Recorder
+	tap        *metrics.Collector // evaluation counts, events and certificates (nil = off)
 	// Trace-only certificate state, never allocated on untraced runs:
 	// ordered endorser lists per value, and the ECHO quorum snapshot taken
 	// when the node's own READY fired via the echo path.
@@ -116,8 +115,7 @@ func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 			auth:   auth,
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
-			mc:     p.Metrics,
-			tr:     p.Trace,
+			tap:    p.Metrics,
 		}
 		if auth {
 			newNodeSets(b.n, &b.echoes[0].ids, &b.echoes[1].ids, &b.readies[0].ids, &b.readies[1].ids,
@@ -135,8 +133,8 @@ func (b *brachaProc) Init(ctx sim.Context) {
 		return
 	}
 	b.decided = true
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, b.value,
+	if b.tap.Recording() {
+		b.tap.Commit(ctx.Round(), b.self, b.value,
 			&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 	}
 	val := sim.Message{Kind: sim.KindValue, Value: b.value}
@@ -161,8 +159,8 @@ func (b *brachaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Messag
 		return // plain mode: fully resolved, no relaying duties remain
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if sender != from && b.tap.Recording() {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -247,7 +245,7 @@ func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
 	if !b.echoes[v].add(id) {
 		return false
 	}
-	if b.tr.Enabled() {
+	if b.tap.Recording() {
 		b.echoVoters[v] = append(b.echoVoters[v], id)
 	}
 	return true
@@ -258,7 +256,7 @@ func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
 	if !b.readies[v].add(id) {
 		return false
 	}
-	if b.tr.Enabled() {
+	if b.tap.Recording() {
 		b.readyVoters[v] = append(b.readyVoters[v], id)
 	}
 	return true
@@ -267,14 +265,11 @@ func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
 // evaluate re-checks the quorum thresholds for v after a tally change — the
 // protocol's commit-rule evidence evaluation, tapped like the BV protocols'.
 func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
-	b.mc.AddEvidenceEvals(ctx.Round(), 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(ctx.Round(), b.self, b.source, v)
-	}
+	b.tap.EvidenceEval(ctx.Round(), b.self, b.source, v)
 	if !b.readied && (b.echoes[v].n >= b.n-b.f || b.readies[v].n >= b.f+1) {
 		b.readied = true
 		b.readyVal = v
-		if b.tr.Enabled() && b.echoes[v].n >= b.n-b.f {
+		if b.tap.Recording() && b.echoes[v].n >= b.n-b.f {
 			// The READY fired via the echo path: snapshot the quorum for
 			// the delivery certificate.
 			b.echoCert = append([]topology.NodeID(nil), b.echoVoters[v]...)
@@ -292,7 +287,7 @@ func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
 func (b *brachaProc) commit(ctx sim.Context, v byte) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
+	if b.tap.Recording() {
 		cert := &etrace.Certificate{
 			Rule:   etrace.RuleReadyQuorum,
 			Value:  v,
@@ -301,7 +296,7 @@ func (b *brachaProc) commit(ctx sim.Context, v byte) {
 		if b.readyVal == v && len(b.echoCert) > 0 {
 			cert.Echoes = append([]topology.NodeID(nil), b.echoCert...)
 		}
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 }
 

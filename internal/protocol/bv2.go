@@ -21,8 +21,7 @@ type bv2Proc struct {
 	t      int
 	net    *topology.Network
 	spoof  bool               // §X study: medium does not authenticate senders
-	mc     *metrics.Collector // evidence-evaluation tap (nil = off)
-	tr     *etrace.Recorder   // event/certificate tap (nil = off)
+	tap    *metrics.Collector // evaluation counts, events and certificates (nil = off)
 
 	value     byte
 	decided   bool
@@ -49,8 +48,7 @@ func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 			t:      p.T,
 			net:    net,
 			spoof:  p.SpoofingPossible,
-			mc:     p.Metrics,
-			tr:     p.Trace,
+			tap:    p.Metrics,
 			value:  p.Value,
 			store:  evidence.NewStore(),
 		}
@@ -62,8 +60,8 @@ func (b *bv2Proc) Init(ctx sim.Context) {
 	if b.self == b.source {
 		b.decided = true
 		b.announced = true
-		if b.tr.Enabled() {
-			b.tr.Commit(ctx.Round(), b.self, b.value,
+		if b.tap.Recording() {
+			b.tap.Commit(ctx.Round(), b.self, b.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: b.value})
@@ -76,8 +74,8 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return // not a binary broadcast value, or names no node of the network
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if sender != from && b.tap.Recording() {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -89,7 +87,7 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		b.acceptCommitted(ctx, sender, m.Value)
 		if !b.decided {
 			var cert *etrace.Certificate
-			if b.tr.Enabled() {
+			if b.tap.Recording() {
 				cert = &etrace.Certificate{Rule: etrace.RuleDirect, Value: m.Value,
 					Voters: []topology.NodeID{sender}}
 			}
@@ -136,10 +134,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 	if b.decided {
 		return
 	}
-	b.mc.AddEvidenceEvals(ctx.Round(), 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
-	}
+	b.tap.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
 	if evidence.CommitSingleLevelFocused(b.net, b.store, b.self, chain.Value, b.t+1, chain) {
 		b.commit(ctx, chain.Value, b.chainCert(chain.Value))
 	}
@@ -149,7 +144,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 // fired: a neighborhood center and t+1 collectively node-disjoint chains
 // for v inside it. Nil on untraced runs.
 func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Recording() {
 		return nil
 	}
 	center, chains, ok := evidence.CommitWitness(b.net, b.store, b.self, v, b.t+1)
@@ -176,8 +171,8 @@ func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
 func (b *bv2Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+	if b.tap.Recording() {
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 	if !b.announced {
 		b.announced = true

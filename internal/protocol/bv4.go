@@ -44,8 +44,7 @@ type bv4Proc struct {
 	mode   EvidenceMode
 	ft     *evidence.FamilyTable // nil in Exact mode
 	spoof  bool                  // §X study: medium does not authenticate senders
-	mc     *metrics.Collector    // evidence-evaluation tap (nil = off)
-	tr     *etrace.Recorder      // event/certificate tap (nil = off)
+	tap    *metrics.Collector    // evaluation counts, events and certificates (nil = off)
 
 	value     byte
 	decided   bool
@@ -106,8 +105,7 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			mode:   mode,
 			ft:     ft,
 			spoof:  p.SpoofingPossible,
-			mc:     p.Metrics,
-			tr:     p.Trace,
+			tap:    p.Metrics,
 			value:  p.Value,
 			store:  evidence.NewStore(),
 		}
@@ -119,8 +117,8 @@ func (b *bv4Proc) Init(ctx sim.Context) {
 	if b.self == b.source {
 		b.decided = true
 		b.announced = true
-		if b.tr.Enabled() {
-			b.tr.Commit(ctx.Round(), b.self, b.value,
+		if b.tap.Recording() {
+			b.tap.Commit(ctx.Round(), b.self, b.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: b.value})
@@ -133,8 +131,8 @@ func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if sender != from && b.tap.Recording() {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -223,10 +221,7 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 	if i, ok := b.local.Lookup(origin); ok && b.nodes[i].determined[v] {
 		return false // already counted; avoid re-evaluation
 	}
-	b.mc.AddEvidenceEvals(round, 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(round, b.self, origin, v)
-	}
+	b.tap.EvidenceEval(round, b.self, origin, v)
 	need := b.t + 1
 	if b.mode == Designated {
 		return evidence.DeterminedDesignated(b.net, b.ft, b.store, b.self, origin, v, need)
@@ -284,8 +279,8 @@ func (b *bv4Proc) shouldRelay(origin topology.NodeID, relays []topology.NodeID) 
 func (b *bv4Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+	if b.tap.Recording() {
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 	if !b.announced {
 		b.announced = true
@@ -296,7 +291,7 @@ func (b *bv4Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 // directCert builds the base-case certificate: the value was heard
 // directly from the designated source. Nil on untraced runs.
 func (b *bv4Proc) directCert(sender topology.NodeID, v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Recording() {
 		return nil
 	}
 	return &etrace.Certificate{Rule: etrace.RuleDirect, Value: v, Voters: []topology.NodeID{sender}}
@@ -307,7 +302,7 @@ func (b *bv4Proc) directCert(sender topology.NodeID, v byte) *etrace.Certificate
 // determined committers of v, each backed by a direct COMMITTED reception
 // or by its confirmed disjoint chain family. Nil on untraced runs.
 func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Recording() {
 		return nil
 	}
 	need := b.t + 1

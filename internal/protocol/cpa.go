@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"repro/internal/etrace"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -25,7 +26,7 @@ type cpaProc struct {
 	// suffice — no per-value membership sets on the delivery path.
 	votes [2]int
 	heard map[topology.NodeID]struct{} // neighbors whose announcement was consumed
-	tr    *etrace.Recorder             // event/certificate tap (nil = off)
+	tap   *metrics.Collector           // records spoofs and commits; never counts (nil = off)
 	// voters[v] retains the counted announcers per value — trace-only
 	// state (the vote-set certificate), never allocated on untraced runs.
 	voters [2][]topology.NodeID
@@ -41,7 +42,7 @@ func newCPAFactory(p Params) sim.ProcessFactory {
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
 			heard:  make(map[topology.NodeID]struct{}),
-			tr:     p.Trace,
+			tap:    p.Metrics,
 		}
 	}
 }
@@ -50,8 +51,8 @@ func newCPAFactory(p Params) sim.ProcessFactory {
 func (c *cpaProc) Init(ctx sim.Context) {
 	if c.self == c.source {
 		c.decided = true
-		if c.tr.Enabled() {
-			c.tr.Commit(ctx.Round(), c.self, c.value,
+		if c.tap.Recording() {
+			c.tap.Commit(ctx.Round(), c.self, c.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: c.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: c.value})
@@ -64,13 +65,13 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return
 	}
 	sender := attributedSender(c.spoof, from, m)
-	if c.tr.Enabled() && sender != from {
-		c.tr.Spoof(ctx.Round(), c.self, from, sender)
+	if sender != from && c.tap.Recording() {
+		c.tap.Spoof(ctx.Round(), c.self, from, sender)
 	}
 	// Direct reception from the designated source: commit immediately.
 	if sender == c.source {
 		var cert *etrace.Certificate
-		if c.tr.Enabled() {
+		if c.tap.Recording() {
 			cert = &etrace.Certificate{Rule: etrace.RuleDirect, Value: m.Value,
 				Voters: []topology.NodeID{sender}}
 		}
@@ -82,12 +83,12 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 	}
 	c.heard[sender] = struct{}{}
 	c.votes[m.Value]++
-	if c.tr.Enabled() {
+	if c.tap.Recording() {
 		c.voters[m.Value] = append(c.voters[m.Value], sender)
 	}
 	if c.votes[m.Value] >= c.t+1 {
 		var cert *etrace.Certificate
-		if c.tr.Enabled() {
+		if c.tap.Recording() {
 			cert = &etrace.Certificate{Rule: etrace.RuleVotes, Value: m.Value,
 				Voters: append([]topology.NodeID(nil), c.voters[m.Value]...)}
 		}
@@ -100,8 +101,8 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 func (c *cpaProc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	c.decided = true
 	c.value = v
-	if c.tr.Enabled() {
-		c.tr.Commit(ctx.Round(), c.self, v, cert)
+	if c.tap.Recording() {
+		c.tap.Commit(ctx.Round(), c.self, v, cert)
 	}
 	ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: v})
 }
@@ -116,7 +117,9 @@ func (c *cpaProc) Decided() (byte, bool) {
 
 // CloneProcess implements sim.CloneableProcess: deep-copies the heard set
 // and the trace-only voter lists so the fork's vote bookkeeping evolves
-// independently of the original's.
+// independently of the original's. The clone shares the collector pointer
+// with the original. That is still exact: CPA makes only record-only calls
+// on it, and forking is gated to engines whose collector does not record.
 func (c *cpaProc) CloneProcess() sim.Process {
 	g := *c
 	g.heard = make(map[topology.NodeID]struct{}, len(c.heard))

@@ -18,4 +18,11 @@
 // the first version is accepted (§V). BV4, BV2 and Bracha drop any
 // message that names a node id outside the network: such an id has no
 // grid coordinate and no place in a tally.
+//
+// Every process holds one instrumentation tap, the *metrics.Collector of
+// Params.Metrics. BV4, BV2 and Bracha make one EvidenceEval call per
+// commit-rule evaluation, which counts it and, on a recording collector,
+// records it. Every protocol records its commits, and all but flooding
+// record spoofed attributions; certificates are built only when the
+// collector is recording.
 package protocol

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"repro/internal/etrace"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -15,13 +16,13 @@ type floodProc struct {
 	source  topology.NodeID
 	value   byte
 	decided bool
-	tr      *etrace.Recorder // event/certificate tap (nil = off)
+	tap     *metrics.Collector // records commits; never counts (nil = off)
 }
 
 // newFloodFactory builds flood processes.
 func newFloodFactory(p Params) sim.ProcessFactory {
 	return func(id topology.NodeID) sim.Process {
-		return &floodProc{self: id, source: p.Source, value: p.Value, tr: p.Trace}
+		return &floodProc{self: id, source: p.Source, value: p.Value, tap: p.Metrics}
 	}
 }
 
@@ -29,8 +30,8 @@ func newFloodFactory(p Params) sim.ProcessFactory {
 func (f *floodProc) Init(ctx sim.Context) {
 	if f.self == f.source {
 		f.decided = true
-		if f.tr.Enabled() {
-			f.tr.Commit(ctx.Round(), f.self, f.value,
+		if f.tap.Recording() {
+			f.tap.Commit(ctx.Round(), f.self, f.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: f.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: f.value})
@@ -44,10 +45,10 @@ func (f *floodProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message
 	}
 	f.decided = true
 	f.value = m.Value
-	if f.tr.Enabled() {
+	if f.tap.Recording() {
 		// Delivery provenance: with crash-stop faults the sole commit
 		// justification is "who handed us the value".
-		f.tr.Commit(ctx.Round(), f.self, m.Value, &etrace.Certificate{
+		f.tap.Commit(ctx.Round(), f.self, m.Value, &etrace.Certificate{
 			Rule: etrace.RuleFlood, Value: m.Value,
 			Voters: []topology.NodeID{from},
 		})
@@ -64,8 +65,10 @@ func (f *floodProc) Decided() (byte, bool) {
 }
 
 // CloneProcess implements sim.CloneableProcess: flood state is a handful of
-// scalars, so a struct copy is an exact fork. The recorder pointer is shared
-// deliberately — forking is gated to untraced engines, where it is nil.
+// scalars, so a struct copy is an exact fork. The clone shares the
+// collector pointer with the original. That is still exact: flood makes
+// only record-only calls on it, and forking is gated to engines whose
+// collector does not record.
 func (f *floodProc) CloneProcess() sim.Process {
 	g := *f
 	return &g

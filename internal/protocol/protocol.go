@@ -3,7 +3,6 @@ package protocol
 import (
 	"fmt"
 
-	"repro/internal/etrace"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -106,18 +105,15 @@ type Params struct {
 	// broadcast becomes "extremely difficult to achieve"; experiment E22
 	// demonstrates the resulting safety collapse.
 	SpoofingPossible bool
-	// Metrics optionally counts commit-rule evidence evaluations (the
-	// disjoint-path checks of BV4/BV2 — the protocols' computational hot
-	// spot). Nil disables the tap. The collector must be safe for
-	// concurrent use; processes tap it from the concurrent runtime's node
-	// goroutines.
+	// Metrics is the processes' instrumentation tap (optional). They
+	// count commit-rule evidence evaluations into it — BV4's and BV2's
+	// disjoint-path checks and Bracha's quorum re-checks, the protocols'
+	// computational hot spot — and, when it is recording, also record
+	// spoofed attributions and commits with their justifying
+	// certificates. Certificates are built only for a recording
+	// collector. Nil disables the tap. Processes tap it from the
+	// concurrent runtime's node goroutines, which the collector allows.
 	Metrics *metrics.Collector
-	// Trace optionally records protocol events: evidence evaluations,
-	// spoofed attributions, and commits with their justifying
-	// certificates. Nil disables recording; processes skip certificate
-	// construction entirely then. Like Metrics, it must be safe for
-	// concurrent use.
-	Trace *etrace.Recorder
 }
 
 // attributedSender resolves the identity a receiver ascribes a message to:

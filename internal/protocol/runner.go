@@ -27,8 +27,6 @@ type RunConfig struct {
 	MaxRounds int
 	// Mode selects the engine delivery mode (0 = sim.ModeFrame).
 	Mode sim.DeliveryMode
-	// Observer taps engine events (optional).
-	Observer sim.Observer
 	// Medium configures the optional unreliable-channel extension.
 	Medium sim.Medium
 	// Context optionally bounds the run by wall clock (see sim.Config).
@@ -106,10 +104,8 @@ func NewEngine(cfg RunConfig) (*sim.Engine, error) {
 		Factory:   factory,
 		CrashAt:   cfg.Crash,
 		MaxRounds: cfg.MaxRounds,
-		Observer:  cfg.Observer,
 		Medium:    cfg.Medium,
 		Metrics:   cfg.Params.Metrics,
-		Trace:     cfg.Params.Trace,
 		Context:   cfg.Context,
 	})
 }

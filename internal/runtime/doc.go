@@ -10,4 +10,8 @@
 // filtering, and fans deliveries out for the next round. The result is
 // bit-for-bit identical to the sequential engine while genuinely exercising
 // Go's concurrency runtime.
+//
+// Config.Metrics is the same one instrumentation tap as in package sim, a
+// *metrics.Collector, fed at the same points; only the within-round order
+// of the events protocols record from node goroutines differs.
 package runtime

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/etrace"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -28,17 +27,14 @@ type Config struct {
 	// Workers caps the number of concurrently processing node goroutines;
 	// 0 means one goroutine per node (fully concurrent).
 	Workers int
-	// Metrics optionally collects totals and per-round histograms of
-	// broadcasts, deliveries and commits, mirroring the sequential
-	// engine's taps. Nil disables collection.
+	// Metrics is the run's instrumentation tap (optional), mirroring the
+	// sequential engine's: per-round counts of broadcasts, deliveries
+	// and commits, and with a recording collector every broadcast and
+	// delivery event, recorded in the deterministic fan-out loops.
+	// Protocol counts and events (evidence, commits) arrive from node
+	// goroutines, so their within-round interleaving is
+	// scheduler-dependent. Nil disables it.
 	Metrics *metrics.Collector
-	// Trace optionally records per-event execution history, mirroring
-	// the sequential engine's taps. Broadcast and delivery events are
-	// recorded in the deterministic fan-out loops; protocol events
-	// (evidence, commits) arrive from node goroutines, so their
-	// within-round interleaving is scheduler-dependent. Nil disables
-	// recording.
-	Trace *etrace.Recorder
 	// Context optionally bounds the run by wall clock, independent of
 	// MaxRounds: cancellation is observed at round boundaries, the run
 	// stops, and the partial result is returned with an error wrapping
@@ -157,6 +153,7 @@ func Run(cfg Config) (sim.Result, error) {
 		done = cfg.Context.Done()
 	}
 	var deadlineErr error
+	recording := cfg.Metrics.Recording()
 
 	for round := 1; round <= maxR; round++ {
 		if done != nil {
@@ -177,9 +174,9 @@ func Run(cfg Config) (sim.Result, error) {
 		stats.Rounds = round
 		stats.Broadcasts += len(pending)
 		cfg.Metrics.AddBroadcasts(round, int64(len(pending)))
-		if cfg.Trace != nil {
+		if recording {
 			for _, tx := range pending {
-				cfg.Trace.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+				cfg.Metrics.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
 			}
 		}
 
@@ -197,8 +194,8 @@ func Run(cfg Config) (sim.Result, error) {
 				}
 				stats.Deliveries++
 				roundDeliveries++
-				if cfg.Trace != nil {
-					cfg.Trace.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+				if recording {
+					cfg.Metrics.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
 				}
 				states[nb].inbox = append(states[nb].inbox, tx)
 				if !activeMark.Has(nb) {

@@ -3,13 +3,16 @@
 // workload, covering every protocol at, below and above its fault
 // threshold, both engines, both delivery modes, and the medium extensions.
 //
-// The same matrix drives three consumers, which is the point — they must
-// never drift apart:
+// The same matrix drives several consumers, which is the point — they
+// must never drift apart:
 //
 //   - cmd/bench measures each scenario and emits BENCH_*.json;
 //   - the root-package equivalence test pins each scenario's Result hash
 //     against testdata/results.golden (generated from the pre-optimization
 //     seed engines, so any hot-path change that alters a single byte of a
 //     Result fails the suite);
-//   - scripts/benchdiff.sh compares two benchmark runs scenario by name.
+//   - the root TestAllocBaseline holds each scenario's allocations per run
+//     within 10% of testdata/bench_baseline.json, by scenario name;
+//   - the root TestTraceFoldsIntoMetrics checks each scenario's traced
+//     events against its per-round Metrics.
 package scenarios

@@ -55,62 +55,62 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cs := s.cache.Stats()
-	writeGauge(&b, "rbcastd_cache_hits_total", "counter",
-		"Result-cache hits, including single-flight coalesced waiters.", float64(cs.Hits))
-	writeGauge(&b, "rbcastd_cache_misses_total", "counter",
-		"Result-cache misses that triggered a simulation execution.", float64(cs.Misses))
-	writeGauge(&b, "rbcastd_cache_evictions_total", "counter",
-		"Result-cache LRU evictions.", float64(cs.Evictions))
-	writeGauge(&b, "rbcastd_cache_entries", "gauge",
-		"Resident result-cache entries.", float64(cs.Entries))
+	writeCount(&b, "rbcastd_cache_hits_total", "counter",
+		"Result-cache hits, including single-flight coalesced waiters.", int64(cs.Hits))
+	writeCount(&b, "rbcastd_cache_misses_total", "counter",
+		"Result-cache misses that triggered a simulation execution.", int64(cs.Misses))
+	writeCount(&b, "rbcastd_cache_evictions_total", "counter",
+		"Result-cache LRU evictions.", int64(cs.Evictions))
+	writeCount(&b, "rbcastd_cache_entries", "gauge",
+		"Resident result-cache entries.", int64(cs.Entries))
 
-	writeGauge(&b, "rbcastd_inflight_runs", "gauge",
-		"Scenario executions currently running (sync and batch).", float64(s.inflightRuns.Load()))
-	writeGauge(&b, "rbcastd_jobs_queue_depth", "gauge",
-		"Batch jobs accepted but not yet finished.", float64(s.queueDepth.Load()))
-	writeGauge(&b, "rbcastd_jobs_queue_limit", "gauge",
+	writeCount(&b, "rbcastd_inflight_runs", "gauge",
+		"Scenario executions currently running (sync and batch).", s.inflightRuns.Load())
+	writeCount(&b, "rbcastd_jobs_queue_depth", "gauge",
+		"Batch jobs accepted but not yet finished.", s.queueDepth.Load())
+	writeCount(&b, "rbcastd_jobs_queue_limit", "gauge",
 		"Batch queue admission bound (submissions over it are shed with 429).",
-		float64(s.opts.QueueDepth))
-	writeGauge(&b, "rbcastd_inflight_limit", "gauge",
-		"Concurrent execution bound (0 = unbounded).", float64(s.opts.MaxInflight))
+		int64(s.opts.QueueDepth))
+	writeCount(&b, "rbcastd_inflight_limit", "gauge",
+		"Concurrent execution bound (0 = unbounded).", int64(s.opts.MaxInflight))
 
 	writeHeader(&b, "rbcastd_shed_total", "counter",
 		"Requests shed with 429 + Retry-After, by reason.")
 	fmt.Fprintf(&b, "rbcastd_shed_total{reason=\"queue_full\"} %d\n", s.shedQueueFull.Load())
 	fmt.Fprintf(&b, "rbcastd_shed_total{reason=\"busy\"} %d\n", s.shedBusy.Load())
-	writeGauge(&b, "rbcastd_run_deadline_total", "counter",
+	writeCount(&b, "rbcastd_run_deadline_total", "counter",
 		"Scenario executions stopped by the job deadline (partial results).",
-		float64(s.deadlineRuns.Load()))
-	writeGauge(&b, "rbcastd_panics_recovered_total", "counter",
+		s.deadlineRuns.Load())
+	writeCount(&b, "rbcastd_panics_recovered_total", "counter",
 		"Panicking executions isolated to their job instead of killing the daemon.",
-		float64(s.panicsRecovered.Load()))
+		s.panicsRecovered.Load())
 
-	writeGauge(&b, "rbcastd_sim_runs_total", "counter",
+	writeCount(&b, "rbcastd_sim_runs_total", "counter",
 		"Scenario executions: successful /v1/run and /v1/batch runs plus the simulations each /v1/sweep ran.",
-		float64(s.simRuns.Load()))
-	writeGauge(&b, "rbcastd_sim_broadcasts_total", "counter",
-		"Local broadcasts transmitted across all executed runs.", float64(s.simBroadcasts.Load()))
-	writeGauge(&b, "rbcastd_sim_deliveries_total", "counter",
-		"Per-receiver deliveries across all executed runs.", float64(s.simDeliveries.Load()))
-	writeGauge(&b, "rbcastd_sim_evidence_evals_total", "counter",
-		"Commit-rule evidence evaluations across all executed runs.", float64(s.simEvidence.Load()))
-	writeGauge(&b, "rbcastd_sim_commits_total", "counter",
-		"First-time decisions across all executed runs.", float64(s.simCommits.Load()))
+		s.simRuns.Load())
+	writeCount(&b, "rbcastd_sim_broadcasts_total", "counter",
+		"Local broadcasts transmitted across all executed runs.", s.simBroadcasts.Load())
+	writeCount(&b, "rbcastd_sim_deliveries_total", "counter",
+		"Per-receiver deliveries across all executed runs.", s.simDeliveries.Load())
+	writeCount(&b, "rbcastd_sim_evidence_evals_total", "counter",
+		"Commit-rule evidence evaluations across all executed runs.", s.simEvidence.Load())
+	writeCount(&b, "rbcastd_sim_commits_total", "counter",
+		"First-time decisions across all executed runs.", s.simCommits.Load())
 
-	writeGauge(&b, "rbcastd_sweeps_total", "counter",
-		"Sweep requests executed.", float64(s.sweepsRun.Load()))
-	writeGauge(&b, "rbcastd_sweep_elements_total", "counter",
+	writeCount(&b, "rbcastd_sweeps_total", "counter",
+		"Sweep requests executed.", s.sweepsRun.Load())
+	writeCount(&b, "rbcastd_sweep_elements_total", "counter",
 		"Sweep elements planned across all sweeps (cached or executed).",
-		float64(s.sweepElements.Load()))
-	writeGauge(&b, "rbcastd_sweep_shared_results_total", "counter",
+		s.sweepElements.Load())
+	writeCount(&b, "rbcastd_sweep_shared_results_total", "counter",
 		"Sweep elements resolved by sharing another element's execution.",
-		float64(s.sweepSharedResults.Load()))
-	writeGauge(&b, "rbcastd_sweep_node_rounds_total", "counter",
+		s.sweepSharedResults.Load())
+	writeCount(&b, "rbcastd_sweep_node_rounds_total", "counter",
 		"Node-rounds actually simulated by the sweep engine.",
-		float64(s.sweepNodeRounds.Load()))
-	writeGauge(&b, "rbcastd_sweep_scalar_node_rounds_total", "counter",
+		s.sweepNodeRounds.Load())
+	writeCount(&b, "rbcastd_sweep_scalar_node_rounds_total", "counter",
 		"Node-rounds equivalent scalar execution would have simulated.",
-		float64(s.sweepScalarNodeRounds.Load()))
+		s.sweepScalarNodeRounds.Load())
 
 	// Per-phase duration summaries from the flight recorder's finished
 	// traces (empty until a recorded route runs with -flight-recorder on).
@@ -137,21 +137,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "rbcastd_phase_seconds_sum{phase=%q} %g\n", row.name, row.sum)
 		fmt.Fprintf(&b, "rbcastd_phase_seconds_count{phase=%q} %d\n", row.name, row.count)
 	}
-	writeGauge(&b, "rbcastd_flight_recorder_requests_total", "counter",
-		"Request timelines recorded by the flight recorder.", float64(s.rec.Total()))
+	writeCount(&b, "rbcastd_flight_recorder_requests_total", "counter",
+		"Request timelines recorded by the flight recorder.", int64(s.rec.Total()))
 
 	// Process-health gauges: without them the exposition says nothing
 	// about whether the daemon itself is drowning.
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	writeGauge(&b, "rbcastd_goroutines", "gauge",
-		"Live goroutines in the daemon process.", float64(runtime.NumGoroutine()))
-	writeGauge(&b, "rbcastd_heap_alloc_bytes", "gauge",
-		"Bytes of allocated heap objects.", float64(ms.HeapAlloc))
-	writeGauge(&b, "rbcastd_gc_pause_seconds_total", "counter",
+	writeCount(&b, "rbcastd_goroutines", "gauge",
+		"Live goroutines in the daemon process.", int64(runtime.NumGoroutine()))
+	writeCount(&b, "rbcastd_heap_alloc_bytes", "gauge",
+		"Bytes of allocated heap objects.", int64(ms.HeapAlloc))
+	writeSeconds(&b, "rbcastd_gc_pause_seconds_total", "counter",
 		"Cumulative stop-the-world GC pause time.", float64(ms.PauseTotalNs)/1e9)
 
-	writeGauge(&b, "rbcastd_uptime_seconds", "gauge",
+	writeSeconds(&b, "rbcastd_uptime_seconds", "gauge",
 		"Seconds since the server started.", time.Since(s.start).Seconds())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -164,9 +164,18 @@ func writeHeader(b *strings.Builder, name, kind, help string) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
-// writeGauge emits a single-sample family with its preamble. %g keeps
-// integers integral and floats compact, matching Prometheus conventions.
-func writeGauge(b *strings.Builder, name, kind, help string, v float64) {
+// writeCount emits a single-sample family of an integer-valued counter or
+// gauge with its preamble. The sample is written as digits: %g would turn
+// any count of a million or more into exponent form, and readers of the
+// exposition parse integers.
+func writeCount(b *strings.Builder, name, kind, help string, v int64) {
+	writeHeader(b, name, kind, help)
+	fmt.Fprintf(b, "%s %d\n", name, v)
+}
+
+// writeSeconds emits a single-sample family measured in seconds with its
+// preamble; %g keeps the fraction compact.
+func writeSeconds(b *strings.Builder, name, kind, help string, v float64) {
 	writeHeader(b, name, kind, help)
 	fmt.Fprintf(b, "%s %g\n", name, v)
 }

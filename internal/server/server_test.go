@@ -328,6 +328,30 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsCountsAreIntegers: a count of a million or more still renders
+// as digits, not in exponent form — readers of the exposition parse the
+// samples as integers. Only the seconds families carry fractions.
+func TestMetricsCountsAreIntegers(t *testing.T) {
+	srv := New(Options{})
+	srv.simDeliveries.Add(2_000_000)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	_, body := getBody(t, ts, "/metrics")
+	text := string(body)
+	if !strings.Contains(text, "\nrbcastd_sim_deliveries_total 2000000\n") {
+		t.Errorf("/metrics lacks the digits-only sample rbcastd_sim_deliveries_total 2000000:\n%s", text)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") || strings.Contains(line, "_seconds") {
+			continue
+		}
+		sample := line[strings.LastIndexByte(line, ' ')+1:]
+		if strings.Trim(sample, "0123456789") != "" {
+			t.Errorf("count sample is not digits-only: %q", line)
+		}
+	}
+}
+
 func TestDrainWaitsForBatchJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -217,23 +218,41 @@ func (b *babbler) Deliver(ctx Context, _ topology.NodeID, _ Message) {
 }
 func (b *babbler) Decided() (byte, bool) { return 0, false }
 
+// TestObserverSeesEvents: the collector tap's per-round rows account for
+// every broadcast, delivery and decision the engine reports, each decision
+// in the round the engine recorded it.
 func TestObserverSeesEvents(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	source := net.IDOf(grid.C(0, 0))
-	var broadcasts, decides int
-	obs := Observer{
-		OnBroadcast: func(round int, from topology.NodeID, m Message) { broadcasts++ },
-		OnDecide:    func(round int, node topology.NodeID, v byte) { decides++ },
-	}
-	res, err := Run(Config{Net: net, Factory: floodFactory(net, source, 1), Observer: obs})
+	tap := metrics.New()
+	res, err := Run(Config{Net: net, Factory: floodFactory(net, source, 1), Metrics: tap})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if broadcasts != res.Stats.Broadcasts {
-		t.Errorf("observer saw %d broadcasts, stats say %d", broadcasts, res.Stats.Broadcasts)
+	rows := tap.Snapshot().PerRound
+	commits := make([]int64, len(rows))
+	for _, r := range res.DecidedRound {
+		if r >= len(commits) {
+			t.Fatalf("a decision in round %d lies beyond the collector's %d rows", r, len(rows))
+		}
+		commits[r]++
 	}
-	if decides != len(res.Decided) {
-		t.Errorf("observer saw %d decisions, result has %d", decides, len(res.Decided))
+	var broadcasts, deliveries int64
+	for r, row := range rows {
+		broadcasts += row.Broadcasts
+		deliveries += row.Deliveries
+		if row.Commits != commits[r] {
+			t.Errorf("round %d: collector saw %d decisions, result has %d", r, row.Commits, commits[r])
+		}
+	}
+	if broadcasts != int64(res.Stats.Broadcasts) {
+		t.Errorf("collector saw %d broadcasts, stats say %d", broadcasts, res.Stats.Broadcasts)
+	}
+	if deliveries != int64(res.Stats.Deliveries) {
+		t.Errorf("collector saw %d deliveries, stats say %d", deliveries, res.Stats.Deliveries)
+	}
+	if len(res.Decided) != 81 {
+		t.Errorf("%d of 81 nodes decided", len(res.Decided))
 	}
 }
 

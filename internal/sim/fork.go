@@ -11,6 +11,10 @@ import (
 // the engine fork a running execution. Honest protocol processes implement
 // it when their state is a value snapshot (no shared mutable references
 // escape); the returned clone must evolve independently of the original.
+// A cloneable process may hold a metrics.Collector but must make only
+// record-only calls on it (never a counting one such as EvidenceEval), so
+// that a clone sharing the parent's collector stays exact on the
+// non-recording collectors forks require.
 type CloneableProcess interface {
 	Process
 	// CloneProcess returns an independent deep copy of the process.
@@ -18,15 +22,12 @@ type CloneableProcess interface {
 }
 
 // Forkable reports whether the engine supports Fork: a deterministic,
-// side-effect-free configuration (no observer callbacks, no trace recorder,
-// ideal medium — a lossy medium consumes shared rng state) whose processes
-// are all cloneable. Callers gate sweep prefix-sharing on this; anything
+// side-effect-free configuration (a collector that does not record, ideal
+// medium — a lossy medium consumes shared rng state) whose processes are
+// all cloneable. Callers gate sweep prefix-sharing on this; anything
 // non-forkable simply runs scalar.
 func (e *Engine) Forkable() bool {
-	if e.rng != nil || e.trace != nil {
-		return false
-	}
-	if e.obs.OnBroadcast != nil || e.obs.OnDecide != nil {
+	if e.rng != nil || e.tap.Recording() {
 		return false
 	}
 	for _, p := range e.procs {
@@ -67,7 +68,7 @@ func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collec
 		crashRound: make([]int, size),
 		maxR:       e.maxR,
 		medium:     e.medium,
-		metrics:    collector,
+		tap:        collector,
 		decided:    e.decided.Clone(),
 		decidedVal: append([]byte(nil), e.decidedVal...),
 		decRound:   append([]int(nil), e.decRound...),

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bounds"
-	"repro/internal/etrace"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -257,19 +256,18 @@ func RunContext(ctx context.Context, cfg Config, plan FaultPlan) (Result, error)
 	}
 	net, faulty := pr.net, pr.faulty
 	collector := metrics.New()
-	var rec *etrace.Recorder
 	if cfg.Trace {
-		rec = etrace.New()
+		collector = metrics.NewRecording()
 		// Crash events come from the fault plan, not the engines: record
 		// them up front, in id order, so every trace opens with the
 		// adversary's schedule.
 		for _, id := range faulty.faulty {
 			if round, crashed := faulty.crash[id]; crashed {
-				rec.Crash(round, id)
+				collector.Crash(round, id)
 			}
 		}
 	}
-	params := pr.params(collector, rec)
+	params := pr.params(collector)
 
 	start := time.Now()
 	var out protocol.Outcome
@@ -281,12 +279,10 @@ func RunContext(ctx context.Context, cfg Config, plan FaultPlan) (Result, error)
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return Result{}, err
 	}
-	collector.ObserveWall(time.Since(start))
+	wall := time.Since(start)
 	res := newResult(net, out, faulty)
-	res.Metrics = newMetrics(collector.Snapshot())
-	if rec != nil {
-		res.Trace = newTraceEvents(net, rec.Events())
-	}
+	res.Metrics = newMetrics(collector.Snapshot(), wall)
+	res.Trace = newTraceEvents(net, collector.Events())
 	if err != nil {
 		// The partial result travels with the typed deadline error; the
 		// chain keeps the engine's round count and the context cause.
@@ -356,9 +352,9 @@ func prepare(cfg Config, plan FaultPlan) (prepared, error) {
 	}, nil
 }
 
-// params assembles the protocol parameters around a run's own collector and
-// recorder (these are per-execution, unlike the scenario itself).
-func (p prepared) params(collector *metrics.Collector, rec *etrace.Recorder) protocol.Params {
+// params assembles the protocol parameters around a run's own collector
+// (it is per-execution, unlike the scenario itself).
+func (p prepared) params(collector *metrics.Collector) protocol.Params {
 	return protocol.Params{
 		Net:              p.net,
 		Source:           p.source,
@@ -367,7 +363,6 @@ func (p prepared) params(collector *metrics.Collector, rec *etrace.Recorder) pro
 		Mode:             p.mode,
 		SpoofingPossible: p.cfg.SpoofingPossible,
 		Metrics:          collector,
-		Trace:            rec,
 	}
 }
 
@@ -407,7 +402,6 @@ func runConcurrent(ctx context.Context, kind protocol.Kind, params protocol.Para
 		CrashAt:   faulty.crash,
 		MaxRounds: maxRounds,
 		Metrics:   params.Metrics,
-		Trace:     params.Trace,
 		Context:   ctx,
 	})
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {

@@ -79,7 +79,8 @@ type RoundMetrics struct {
 	// Deliveries counts per-receiver message deliveries in the round.
 	Deliveries int `json:"deliveries,omitempty"`
 	// EvidenceEvals counts commit-rule evidence evaluations by honest
-	// BV4/BV2 processes in the round.
+	// processes in the round: BV4's and BV2's disjoint-path checks and
+	// Bracha's quorum re-checks.
 	EvidenceEvals int `json:"evidence_evals,omitempty"`
 	// Commits counts first-time decisions observed in the round.
 	Commits int `json:"commits,omitempty"`
@@ -112,12 +113,13 @@ func (m Metrics) CommitRounds() map[int]int {
 	return out
 }
 
-// newMetrics converts an internal collector snapshot.
-func newMetrics(s metrics.Snapshot) Metrics {
+// newMetrics converts an internal collector snapshot and the run's
+// wall-clock duration, which the caller times.
+func newMetrics(s metrics.Snapshot, wall time.Duration) Metrics {
 	m := Metrics{
 		EvidenceEvals: int(s.EvidenceEvals),
 		Commits:       int(s.Commits),
-		Wall:          s.Wall,
+		Wall:          wall,
 	}
 	if len(s.PerRound) > 0 {
 		m.PerRound = make([]RoundMetrics, len(s.PerRound))

@@ -380,7 +380,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		return
 	}
 	collector := metrics.New()
-	eng, err := protocol.NewEngine(pr.runConfig(pr.params(collector, nil), ctx))
+	eng, err := protocol.NewEngine(pr.runConfig(pr.params(collector), ctx))
 	if err == nil && !eng.Forkable() {
 		err = errors.New("rbcast: internal: fork family engine not forkable")
 	}
@@ -402,9 +402,9 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 	// finish assembles one group's public Result from an engine outcome and
 	// fans it out to the group's elements.
 	finish := func(g *sweepGroup, gpr prepared, c *metrics.Collector, out protocol.Outcome, runErr error) {
-		c.ObserveWall(time.Since(start))
+		wall := time.Since(start)
 		res := newResult(gpr.net, out, gpr.faulty)
-		res.Metrics = newMetrics(c.Snapshot())
+		res.Metrics = newMetrics(c.Snapshot(), wall)
 		if runErr != nil {
 			runErr = fmt.Errorf("%w: %w", ErrDeadline, runErr)
 		}
@@ -434,7 +434,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 					}
 					continue
 				}
-				out := protocol.Score(remPr.runConfig(remPr.params(nil, nil), ctx), trunkRes)
+				out := protocol.Score(remPr.runConfig(remPr.params(nil), ctx), trunkRes)
 				finish(rem, remPr, collector.Clone(), out, runErr)
 				st.ScalarNodeRounds += rounds * size * int64(len(rem.indices))
 				if ri > 0 {
@@ -465,7 +465,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		fres, frunErr := feng.Run()
 		tr.AnnotateInt(fsp, "rounds", int64(fres.Stats.Rounds))
 		tr.End(fsp)
-		out := protocol.Score(fpr.runConfig(fpr.params(nil, nil), ctx), fres)
+		out := protocol.Score(fpr.runConfig(fpr.params(nil), ctx), fres)
 		finish(g, fpr, fc, out, frunErr)
 		st.Simulations++
 		st.Forks++
@@ -476,7 +476,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 	}
 	// The trunk runs to completion last.
 	tres, trunErr := eng.Run()
-	out := protocol.Score(pr.runConfig(pr.params(nil, nil), ctx), tres)
+	out := protocol.Score(pr.runConfig(pr.params(nil), ctx), tres)
 	finish(trunk, pr, collector, out, trunErr)
 	st.Simulations++
 	rounds := int64(tres.Stats.Rounds)

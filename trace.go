@@ -1,12 +1,14 @@
 package rbcast
 
-// Public execution-trace surface: typed events mirroring internal/etrace,
+// Public execution-trace surface: typed events mirroring internal/etrace
+// (recorded by the run's internal/metrics collector when Config.Trace is set),
 // the commit Certificate, and Explain — the human-readable answer to "why
 // did node (x,y) commit v at round k". Encoding lives in encode.go
 // (EncodeTrace/DecodeTrace, JSONL).
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,11 +21,14 @@ import (
 type EventKind int
 
 const (
-	// EventBroadcast is one local broadcast by a node.
+	// EventBroadcast is one local broadcast of a message by a node. With
+	// Config.Retransmit k it stands for the k transmissions that
+	// Result.Broadcasts counts.
 	EventBroadcast EventKind = iota + 1
 	// EventDelivery is one per-receiver message delivery.
 	EventDelivery
-	// EventEvidenceEval is one commit-rule evidence evaluation.
+	// EventEvidenceEval is one commit-rule evidence evaluation: a BV4 or
+	// BV2 disjoint-path check or a Bracha quorum re-check.
 	EventEvidenceEval
 	// EventCrash marks a node silenced by the crash adversary; the
 	// event's Round is its first silent round.
@@ -301,19 +306,26 @@ func Explain(res Result, node Node) (string, error) {
 	if _, known := res.Decisions[node]; !known {
 		return "", fmt.Errorf("rbcast: node %v is not part of the run's network", node)
 	}
+	crashed := -1
 	for i := range res.Trace {
 		ev := &res.Trace[i]
-		if ev.Kind == EventCommit && ev.Node == node {
+		if ev.Node != node {
+			continue
+		}
+		switch ev.Kind {
+		case EventCommit:
 			return explainCommit(ev), nil
+		case EventCrash:
+			crashed = ev.Round
 		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "node %v never committed", node)
-	for _, f := range res.Faulty {
-		if f == node {
-			b.WriteString(" (it is faulty: adversarial processes do not decide)")
-			break
-		}
+	switch {
+	case crashed >= 0:
+		fmt.Fprintf(&b, " (it crashed at round %d before committing)", crashed)
+	case slices.Contains(res.Faulty, node):
+		b.WriteString(" (it is faulty: adversarial processes do not decide)")
 	}
 	b.WriteString(".\n")
 	return b.String(), nil

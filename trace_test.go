@@ -201,6 +201,21 @@ func TestExplain(t *testing.T) {
 	if _, err := Explain(res, Node{X: 1000, Y: 1000}); err == nil {
 		t.Error("Explain must reject a node outside the network")
 	}
+
+	// A crash fault explains as a crash at the round its trace event
+	// names, not as an adversary.
+	crashCfg := Config{Width: 16, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1, Trace: true}
+	crashRes, err := Run(crashCfg, FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Explain(crashRes, Node{X: 4, Y: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "crashed at round 0 before committing") || strings.Contains(out, "adversarial") {
+		t.Errorf("crashed node (4,0) explanation is wrong:\n%s", out)
+	}
 }
 
 // TestFingerprintTraceSensitivity: tracing changes the fingerprint (a
