@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: verify ci build vet test bench-module race experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-serve
+.PHONY: verify ci build vet test bench-module race engine-cpus experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
 # request: tier-1 (build + test) plus vet, vet and tests of the bench/
-# module, the race detector across every package, the rbcastd serving
+# module, the race detector across every package, the engine equivalence
+# tests at 1, 2, 4 and 8 CPUs (engine-cpus), the rbcastd serving
 # smoke test, the execution-trace smoke test, the saturation/backpressure
 # smoke test, the /v1/sweep planner smoke test, the flight-recorder/
 # live-progress smoke test, the benchmark-scenario golden-hash smoke, and
@@ -13,7 +14,7 @@ GO ?= go
 # allocation gate over the scenario matrix is a Go test (TestAllocBaseline),
 # so `test` runs it. The full benchmark suite and bench-serve stay out —
 # they need a quiet machine and run in the nightly workflow instead.
-ci: build vet test bench-module race serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
+ci: build vet test bench-module race engine-cpus serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
 verify: ci
@@ -36,6 +37,13 @@ bench-module:
 
 race:
 	$(GO) test -race ./...
+
+# engine-cpus runs the engine equivalence tests under the race detector at
+# 1, 2, 4 and 8 CPUs. The concurrent engine starts max(GOMAXPROCS, 2)
+# workers, so every CPU count splits the rounds differently, and each must
+# still agree with the sequential engine.
+engine-cpus:
+	$(GO) test -race -cpu 1,2,4,8 -run '^(TestEngineEquivalenceSweep|TestTraceEngineEquivalence|TestMetricsAgreeAcrossEngines|TestEquivalenceWithSequentialEngine|TestBV4ConcurrentEngine)$$' . ./internal/runtime ./internal/protocol
 
 experiments:
 	$(GO) run ./cmd/experiments
@@ -84,9 +92,11 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-# bench runs the full canonical scenario matrix and writes BENCH_3.json
-# (see PERFORMANCE.md for the methodology and field meanings). It reports
-# and gates nothing; TestAllocBaseline gates allocations on every push.
+# bench runs the full canonical scenario matrix and writes BENCH_3.json, a
+# local report that .gitignore lists (see PERFORMANCE.md for the
+# methodology and field meanings). It reports and gates nothing;
+# TestAllocBaseline gates allocations on every push against
+# testdata/bench_baseline.json, which is this report copied over.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_3.json
 

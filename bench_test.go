@@ -73,8 +73,8 @@ func BenchmarkFloodSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkFloodConcurrent measures the goroutine-per-node engine on the
-// same workload.
+// BenchmarkFloodConcurrent measures the concurrent engine, whose workers
+// process each round's deliveries in parallel, on the same workload.
 func BenchmarkFloodConcurrent(b *testing.B) {
 	cfg := rbcast.Config{Width: 32, Height: 32, Radius: 2, Protocol: rbcast.ProtocolFlood, Value: 1, Concurrent: true}
 	b.ReportAllocs()

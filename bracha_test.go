@@ -46,7 +46,7 @@ func k13Config(p rbcast.Protocol) rbcast.Config {
 // TestEquivocatorDeterministic checks that the equivocator's two-faced,
 // audience-split volleys keep the simulation fully deterministic: the same
 // seed and plan produce byte-identical Results on repeated runs and across
-// both engines (sequential lock-step vs goroutine-per-node concurrent).
+// both engines (sequential lock-step vs concurrent workers).
 // Directional transmission is the one place delivery depends on the
 // receiver's identity, so this pins that the audience filter sits outside
 // every scheduling and loss decision.

@@ -6,7 +6,7 @@
 //
 // Modes:
 //
-//	bench                       # full run → BENCH_3.json
+//	bench                       # full run → BENCH_3.json (a local report; .gitignore lists it)
 //	bench -smoke                # one run per scenario, golden-hash check only
 //	bench -sweep                # sweep workload: RunSweepJobs vs scalar runs, gated ≥2x
 //
@@ -15,7 +15,9 @@
 // reported for information. The allocation gate is the root test
 // TestAllocBaseline, which compares every scenario's allocations per run
 // with allocs_op in testdata/bench_baseline.json (deterministic for a
-// fixed scenario matrix and Go version) on every push.
+// fixed scenario matrix and Go version) on every push. That baseline is
+// the full run's report copied over; regenerate it with
+// `make bench && cp BENCH_3.json testdata/bench_baseline.json`.
 package main
 
 import (

@@ -33,7 +33,7 @@ func main() {
 		strategy = flag.String("strategy", "crash", "fault behaviour: crash, silent, liar, forger, spoofer")
 		prob     = flag.Float64("p", 0.2, "percolation failure probability")
 		seed     = flag.Int64("seed", 1, "seed for randomized placements")
-		conc     = flag.Bool("concurrent", false, "use the goroutine-per-node engine")
+		conc     = flag.Bool("concurrent", false, "use the concurrent engine (parallel workers each round)")
 		drawMap  = flag.Bool("map", false, "print an ASCII decision map")
 		loss     = flag.Float64("loss", 0, "per-receiver transmission loss probability (§II extension)")
 		retx     = flag.Int("retx", 1, "blind retransmission count for the lossy medium")

@@ -17,8 +17,9 @@
 //   - the exact fault-tolerance thresholds as functions of r;
 //   - adversary construction (worst-case bands, random locally bounded
 //     placements, iid percolation failures) and Byzantine strategies;
-//   - a deterministic round/slot simulator and a concurrent
-//     goroutine-per-node runtime that agree execution-for-execution.
+//   - a deterministic round/slot simulator and a concurrent lock-step
+//     runtime, whose workers process each round's deliveries in parallel,
+//     that agree execution-for-execution.
 //
 // A minimal run:
 //

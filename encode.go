@@ -27,6 +27,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/protocol"
 )
 
 // MarshalText encodes the protocol name ("flood", "cpa", "bv4", "bv2",
@@ -440,8 +442,9 @@ func (j Job) executionKey() string {
 	// Flood ignores T in the protocol (§VII: reachability is the sole
 	// criterion) and Result never echoes it — but T still resolves the
 	// fault budget when a budgeted placement runs with Budget 0, and
-	// validation rejects T < 0, so only the provably-dead case collapses.
-	if c.Protocol == ProtocolFlood && c.T > 0 && !(budgeted && p.Budget == 0) {
+	// validation rejects T < 0 and T > protocol.MaxT, so only the
+	// provably-dead case collapses.
+	if c.Protocol == ProtocolFlood && c.T > 0 && c.T <= protocol.MaxT && !(budgeted && p.Budget == 0) {
 		c.T = 0
 	}
 	// The medium's rng exists only when LossRate > 0, so MediumSeed is dead

@@ -49,7 +49,7 @@ func TestScenarioResultsMatchGolden(t *testing.T) {
 
 // TestEngineEquivalenceSweep runs every protocol under a grid of fault
 // plans on both engines — the sequential engine in lock-step mode and the
-// goroutine-per-node concurrent engine — and requires byte-identical
+// concurrent engine's parallel workers — and requires byte-identical
 // Results. The two engines share no scheduling code, so agreement here is
 // strong evidence that the deterministic delivery order is real and that
 // neither engine's hot-path optimizations changed semantics.

@@ -172,8 +172,10 @@ func runE19Safety() (Report, error) {
 	return rep, nil
 }
 
-// runE20Engines: the concurrent goroutine-per-node runtime must agree with
-// the deterministic engine in lock-step mode, decision for decision.
+// runE20Engines: the concurrent runtime, whose workers process each round's
+// deliveries in parallel, must agree with the deterministic engine in
+// lock-step mode, decision for decision. One factory builds the processes
+// of both engines, as the factory contract allows.
 func runE20Engines() (Report, error) {
 	rep := Report{
 		ID:         "E20",

@@ -14,15 +14,17 @@
 // enforce. EvidenceEval is the one call per evaluation site: it counts,
 // and records when the collector is recording.
 //
-// All methods are safe for concurrent use: the concurrent runtime taps
-// commits and evidence evaluations from many node goroutines at once.
+// All methods are safe for concurrent use: on the concurrent runtime the
+// protocols tap evidence evaluations and commit events from several
+// workers at once.
 // Both engines drive the same taps, which is what makes the counters
 // differentially testable across them.
 //
 // Determinism of recorded events: on the sequential engine the event order
 // is fully deterministic. On the concurrent runtime, broadcast and
-// delivery events are recorded in the engine's deterministic fan-out
-// loops, but evidence and commit events are recorded from node goroutines,
+// delivery events and the commit counts are recorded by the engine's
+// coordinator in deterministic order, but evidence and commit events are
+// recorded from the workers,
 // so their interleaving within a round varies run to run. The set of
 // events and every per-node subsequence are still deterministic; consumers
 // needing a canonical order sort by (Round, Node, record order).

@@ -85,7 +85,7 @@ func TestCrashClampsNegativeRound(t *testing.T) {
 }
 
 // TestConcurrentRecording: the concurrent runtime taps a recording
-// collector from many node goroutines; every evaluation is both counted
+// collector from several workers; every evaluation is both counted
 // and kept, and no event is lost.
 func TestConcurrentRecording(t *testing.T) {
 	c := NewRecording()

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"repro/internal/etrace"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -25,25 +27,60 @@ type cpaProc struct {
 	// ignore the rest), so the heard set is the dedup and plain counters
 	// suffice — no per-value membership sets on the delivery path.
 	votes [2]int
-	heard map[topology.NodeID]struct{} // neighbors whose announcement was consumed
-	tap   *metrics.Collector           // records spoofs and commits; never counts (nil = off)
+	// heard lists the senders whose announcement was consumed. Every
+	// entry adds a vote and a commit ends the counting, so it never holds
+	// more than votes[0]+votes[1] ≤ 2t+1 ids.
+	heard []topology.NodeID
+	tap   *metrics.Collector // records spoofs and commits; never counts (nil = off)
 	// voters[v] retains the counted announcers per value — trace-only
 	// state (the vote-set certificate), never allocated on untraced runs.
 	voters [2][]topology.NodeID
 }
 
-// newCPAFactory builds CPA processes.
+// newCPAFactory builds CPA processes, bump-allocated from slabs of
+// Net.Size() processes, and carves each heard list from a shared pool. As
+// in newFloodFactory, neither is indexed by id.
 func newCPAFactory(p Params) sim.ProcessFactory {
+	// A heard list holds at most 2t+1 ids, and without spoofing only
+	// neighbors, so a node's carve is min(2t+1, degree). Comparing t with
+	// the degree first keeps 2t+1 from overflowing. The carve is also the
+	// list's capacity, so spoofed senders past it spill into fresh memory
+	// instead of into the next process's carve.
+	carve := func(id topology.NodeID) int {
+		deg := len(p.Net.Neighbors(id))
+		if p.T < deg {
+			return min(2*p.T+1, deg)
+		}
+		return deg
+	}
+	n := p.Net.Size()
+	poolSize := 0
+	for i := 0; i < n; i++ {
+		poolSize += carve(topology.NodeID(i))
+	}
+	var slab []cpaProc
+	var pool []topology.NodeID
 	return func(id topology.NodeID) sim.Process {
-		return &cpaProc{
+		if len(slab) == 0 {
+			slab = make([]cpaProc, n)
+		}
+		c := &slab[0]
+		slab = slab[1:]
+		k := carve(id)
+		if len(pool) < k {
+			pool = make([]topology.NodeID, max(poolSize, k))
+		}
+		*c = cpaProc{
 			self:   id,
 			source: p.Source,
 			t:      p.T,
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
-			heard:  make(map[topology.NodeID]struct{}),
+			heard:  pool[:0:k],
 			tap:    p.Metrics,
 		}
+		pool = pool[k:]
+		return c
 	}
 }
 
@@ -78,10 +115,10 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		c.commit(ctx, m.Value, cert)
 		return
 	}
-	if _, seen := c.heard[sender]; seen {
+	if slices.Contains(c.heard, sender) {
 		return // only a neighbor's first announcement counts
 	}
-	c.heard[sender] = struct{}{}
+	c.heard = append(c.heard, sender)
 	c.votes[m.Value]++
 	if c.tap.Recording() {
 		c.voters[m.Value] = append(c.voters[m.Value], sender)
@@ -115,17 +152,14 @@ func (c *cpaProc) Decided() (byte, bool) {
 	return c.value, true
 }
 
-// CloneProcess implements sim.CloneableProcess: deep-copies the heard set
-// and the trace-only voter lists so the fork's vote bookkeeping evolves
+// CloneProcess implements sim.CloneableProcess: copies the heard list and
+// the trace-only voter lists so the fork's vote bookkeeping evolves
 // independently of the original's. The clone shares the collector pointer
 // with the original. That is still exact: CPA makes only record-only calls
 // on it, and forking is gated to engines whose collector does not record.
 func (c *cpaProc) CloneProcess() sim.Process {
 	g := *c
-	g.heard = make(map[topology.NodeID]struct{}, len(c.heard))
-	for id := range c.heard {
-		g.heard[id] = struct{}{}
-	}
+	g.heard = slices.Clone(c.heard)
 	for v := range c.voters {
 		g.voters[v] = append([]topology.NodeID(nil), c.voters[v]...)
 	}

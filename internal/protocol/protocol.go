@@ -112,7 +112,7 @@ type Params struct {
 	// spoofed attributions and commits with their justifying
 	// certificates. Certificates are built only for a recording
 	// collector. Nil disables the tap. Processes tap it from the
-	// concurrent runtime's node goroutines, which the collector allows.
+	// concurrent runtime's workers, which the collector allows.
 	Metrics *metrics.Collector
 }
 
@@ -181,8 +181,15 @@ func (p Params) validate() error {
 	if p.T < 0 {
 		return fmt.Errorf("protocol: negative fault bound %d", p.T)
 	}
+	if p.T > MaxT {
+		return fmt.Errorf("protocol: fault bound %d exceeds 2³¹−1 = %d", p.T, MaxT)
+	}
 	return nil
 }
+
+// MaxT is the largest fault bound the protocols accept. At or below it the
+// thresholds t+1, 2t+1 and 3t+1 cannot overflow a 64-bit int.
+const MaxT = 1<<31 - 1
 
 // NewFactory returns the honest-process factory for the selected protocol.
 // Combine it with fault strategies at the runner level to model adversaries.

@@ -1,10 +1,12 @@
 package protocol
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/grid"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -178,5 +180,47 @@ func TestBV4DesignatedFaultFreeR2(t *testing.T) {
 	if !out.AllCorrect() {
 		t.Errorf("BV4 designated r=2: correct=%d wrong=%d undecided=%d",
 			out.Correct, out.Wrong, out.Undecided)
+	}
+}
+
+// TestSharedFactoryBuildsIndependentEngines pins the slab factories'
+// contract: one flood and one CPA factory each build two engines before
+// either runs, and each run must equal a run over a fresh factory. A slab
+// indexed by id would hand both engines the same processes.
+func TestSharedFactoryBuildsIndependentEngines(t *testing.T) {
+	net := testNet(t, 12, 12, 2)
+	p := Params{Net: net, Source: net.IDOf(grid.C(0, 0)), Value: 1, T: 2}
+	configs := []sim.Config{
+		{Net: net},
+		{Net: net, Mode: sim.ModeNextRound, CrashAt: map[topology.NodeID]int{13: 1, 14: 2, 26: 0}},
+	}
+	for _, kind := range []Kind{Flood, CPA} {
+		shared, err := NewFactory(kind, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := make([]*sim.Engine, len(configs))
+		for i, cfg := range configs {
+			cfg.Factory = shared
+			if engines[i], err = sim.NewEngine(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, cfg := range configs {
+			got, err := engines[i].Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Factory, err = NewFactory(kind, p); err != nil {
+				t.Fatal(err)
+			}
+			want, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, engine %d over a shared factory: %+v, over a fresh one: %+v", kind, i, got.Stats, want.Stats)
+			}
+		}
 	}
 }

@@ -71,15 +71,14 @@ func Run(cfg RunConfig) (Outcome, error) {
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return Outcome{}, err
 	}
-	return score(cfg, res), err
+	return Score(cfg, res), err
 }
 
-// NewEngine validates the scenario and builds its engine without running it.
-// This is the substrate for incremental sweep execution (rbcast.RunSweep),
-// which steps the engine manually with sim.Engine.RunUntil and forks it at
-// fault-plan divergence points; Run is exactly NewEngine followed by
-// Engine.Run plus Score.
-func NewEngine(cfg RunConfig) (*sim.Engine, error) {
+// Factory returns the scenario's process factory, which both engines build
+// their processes with: Byzantine nodes get their strategy's process and
+// every other node the protocol's honest one. It rejects a node that is
+// both Byzantine and crashed, and a Byzantine source.
+func (cfg RunConfig) Factory() (sim.ProcessFactory, error) {
 	honest, err := NewFactory(cfg.Kind, cfg.Params)
 	if err != nil {
 		return nil, err
@@ -92,11 +91,23 @@ func NewEngine(cfg RunConfig) (*sim.Engine, error) {
 			return nil, fmt.Errorf("protocol: the designated source must be honest")
 		}
 	}
-	factory := func(id topology.NodeID) sim.Process {
+	return func(id topology.NodeID) sim.Process {
 		if strat, ok := cfg.Byzantine[id]; ok {
 			return strat.NewProcess(id)
 		}
 		return honest(id)
+	}, nil
+}
+
+// NewEngine validates the scenario and builds its engine without running it.
+// This is the substrate for incremental sweep execution (rbcast.RunSweep),
+// which steps the engine manually with sim.Engine.RunUntil and forks it at
+// fault-plan divergence points; Run is exactly NewEngine followed by
+// Engine.Run plus Score.
+func NewEngine(cfg RunConfig) (*sim.Engine, error) {
+	factory, err := cfg.Factory()
+	if err != nil {
+		return nil, err
 	}
 	return sim.NewEngine(sim.Config{
 		Net:       cfg.Params.Net,
@@ -110,12 +121,9 @@ func NewEngine(cfg RunConfig) (*sim.Engine, error) {
 	})
 }
 
-// Score tallies honest-node outcomes for an engine result obtained outside
-// Run (e.g. from a manually stepped or forked engine).
-func Score(cfg RunConfig, res sim.Result) Outcome { return score(cfg, res) }
-
-// score tallies honest-node outcomes.
-func score(cfg RunConfig, res sim.Result) Outcome {
+// Score tallies honest-node outcomes of an engine result: Run's own, or one
+// from a manually stepped or forked engine or the concurrent engine.
+func Score(cfg RunConfig, res sim.Result) Outcome {
 	out := Outcome{Result: res}
 	net := cfg.Params.Net
 	for i := 0; i < net.Size(); i++ {

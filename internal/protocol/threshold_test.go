@@ -382,9 +382,9 @@ func TestBV4ModesAgree(t *testing.T) {
 	}
 }
 
-// TestBV4ConcurrentEngine runs the designated protocol on the
-// goroutine-per-node runtime: the shared family table must be safe under
-// concurrent readers and decisions must match the sequential engine.
+// TestBV4ConcurrentEngine runs the designated protocol on the concurrent
+// runtime: the shared family table must be safe under the workers'
+// concurrent reads and decisions must match the sequential engine.
 func TestBV4ConcurrentEngine(t *testing.T) {
 	net := testNet(t, 12, 12, 1)
 	src := net.IDOf(grid.C(0, 0))

@@ -7,13 +7,14 @@ import (
 )
 
 // TestRunAllocsRegression guards the concurrent engine's allocation budget
-// on a 1024-node flood. The floor here is the goroutine fan-out itself —
-// one launch per active node per round — which is the engine's point, so
-// the budget is per-node-per-round plus setup. The pre-optimization engine
-// (fresh inbox/outbox slices, per-delivery Context values, map-based crash
-// checks) measured ~16.2k allocations on this workload; the rebuilt
-// hot path measures ~11.2k. The 14k budget trips on a return of per-round
-// buffer churn while leaving headroom over scheduler noise.
+// on a 1024-node flood. The rounds themselves allocate nothing in steady
+// state: the workers start once per run, and the flat inbox, the pending
+// list and every outbox keep their capacity across rounds. What remains is
+// per node, once per run — this test's factory allocates each process, and
+// each outbox grows on its node's first broadcast — plus about 50 for
+// setup, 2,095 in all with Go 1.24. The engine that launched a goroutine
+// per receiving node per round measured ~11.2k here; the 2,300 budget
+// trips on any per-round or per-delivery allocation returning.
 func TestRunAllocsRegression(t *testing.T) {
 	net := testNet(t, 32, 32, 2)
 	src := net.IDOf(grid.C(0, 0))
@@ -25,7 +26,7 @@ func TestRunAllocsRegression(t *testing.T) {
 	if res.Stats.Rounds < 5 {
 		t.Fatalf("probe workload degenerate: %d rounds", res.Stats.Rounds)
 	}
-	const maxAllocs = 14_000
+	const maxAllocs = 2_300
 	avg := testing.AllocsPerRun(5, func() {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)

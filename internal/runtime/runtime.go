@@ -3,7 +3,10 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	goruntime "runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -14,25 +17,22 @@ import (
 // Config mirrors sim.Config for the concurrent engine.
 type Config struct {
 	// Net is the radio network (required) — any topology.Graph family.
+	// Transmissions follow topology.BestSchedule(Net), the sequential
+	// engine's default schedule.
 	Net topology.Graph
-	// Schedule fixes the deterministic delivery order; defaults to
-	// topology.BestSchedule(Net).
-	Schedule topology.Schedule
-	// Factory builds each node's process (required).
+	// Factory builds each node's process (required). Run calls it once
+	// per node, in id order, from the calling goroutine.
 	Factory sim.ProcessFactory
 	// CrashAt silences nodes from the given round onward (see sim.Config).
 	CrashAt map[topology.NodeID]int
 	// MaxRounds bounds the execution; 0 means sim.DefaultMaxRounds.
 	MaxRounds int
-	// Workers caps the number of concurrently processing node goroutines;
-	// 0 means one goroutine per node (fully concurrent).
-	Workers int
 	// Metrics is the run's instrumentation tap (optional), mirroring the
 	// sequential engine's: per-round counts of broadcasts, deliveries
 	// and commits, and with a recording collector every broadcast and
-	// delivery event, recorded in the deterministic fan-out loops.
-	// Protocol counts and events (evidence, commits) arrive from node
-	// goroutines, so their within-round interleaving is
+	// delivery event, all recorded by the coordinating goroutine in
+	// deterministic order. Protocol counts and events (evidence, commits)
+	// arrive from the workers, so their within-round interleaving is
 	// scheduler-dependent. Nil disables it.
 	Metrics *metrics.Collector
 	// Context optionally bounds the run by wall clock, independent of
@@ -42,48 +42,98 @@ type Config struct {
 	Context context.Context
 }
 
+// PanicError is the value Run re-raises on its caller's goroutine when a
+// process panics on a worker. It keeps the worker's stack, which the
+// re-raise would otherwise lose.
+type PanicError struct {
+	// Node is the node whose process panicked; when several did in one
+	// round, the lowest id.
+	Node topology.NodeID
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the worker's stack at the panic (runtime/debug.Stack).
+	Stack []byte
+}
+
+// Error renders the node and the panic value; the stack is carried
+// separately.
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("runtime: process of node %d panicked: %v", p.Node, p.Value)
+}
+
 // transmission is a message sent by a node in some round.
 type transmission struct {
 	from topology.NodeID
 	msg  sim.Message
 }
 
-// nodeState is the per-goroutine worker state. Its inbox, outbox and
-// Context are all reused across rounds, so a steady-state round allocates
-// only the goroutine launches themselves.
+// nodeState is one node's process and bookkeeping. It is also the
+// sim.Context handed to the node's process; its outbox keeps its capacity
+// across rounds.
 type nodeState struct {
 	id      topology.NodeID
+	round   int
 	proc    sim.Process
-	inbox   []transmission // deliveries for the current round, pre-sorted
-	out     []sim.Message  // broadcasts produced this round
-	ctx     nodeCtx        // reused Context; round is set each round
+	out     []sim.Message // broadcasts produced this round
 	decided bool
 	value   byte
 	decRnd  int
 }
 
-// nodeCtx adapts the worker state to sim.Context.
-type nodeCtx struct {
-	st    *nodeState
-	round int
-}
-
 // Self implements sim.Context.
-func (c *nodeCtx) Self() topology.NodeID { return c.st.id }
+func (st *nodeState) Self() topology.NodeID { return st.id }
 
 // Round implements sim.Context.
-func (c *nodeCtx) Round() int { return c.round }
+func (st *nodeState) Round() int { return st.round }
 
 // Broadcast implements sim.Context.
-func (c *nodeCtx) Broadcast(m sim.Message) { c.st.out = append(c.st.out, m) }
+func (st *nodeState) Broadcast(m sim.Message) { st.out = append(st.out, m) }
 
-var _ sim.Context = (*nodeCtx)(nil)
+var _ sim.Context = (*nodeState)(nil)
+
+// span is one worker's share of a round: the receivers ids[lo:hi].
+type span struct{ lo, hi int }
+
+// engine is one run's state. The coordinator (the goroutine in Run) owns
+// every field between rounds; during a round the workers read the fan-out
+// fields and each touches only the node states of its own span.
+type engine struct {
+	net     topology.Graph
+	tap     *metrics.Collector
+	states  []nodeState
+	crashAt []int             // first silent round per id (noCrash = never)
+	order   []topology.NodeID // ids in transmission order (sim.SlotOrder)
+	rank    []int             // rank[id] is id's position in order
+	// outMark holds the ranks, not the ids, of nodes with queued
+	// broadcasts, so reading it back yields transmission order.
+	outMark topology.NodeSet
+	pending []transmission // this round's transmissions, in transmission order
+
+	// Fan-out of one round. The receivers are ids, in id order; the
+	// deliveries of ids[j] are the pending indexes inbox[off[j]:off[j+1]],
+	// in pending order.
+	active topology.NodeSet // receivers, while counting
+	cnt    []int            // per id: deliveries, then the fill cursor
+	ids    []topology.NodeID
+	off    []int
+	inbox  []int
+	round  int
+
+	work   []chan span // one per worker
+	wg     sync.WaitGroup
+	exited sync.WaitGroup
+	panics []*PanicError // per worker: its panic this round, if any
+}
 
 // Run executes the configured protocol to quiescence (or MaxRounds, or
-// Context expiry) and returns a result identical in shape to the sequential
-// engine's. On expiry the partial result is returned together with an error
-// wrapping sim.ErrDeadline; any other error means the configuration was
-// rejected and the result is zero.
+// Context expiry) and returns a result identical to the sequential
+// engine's in lock-step mode. On expiry the partial result is returned
+// together with an error wrapping sim.ErrDeadline; any other error means
+// the configuration was rejected and the result is zero.
+//
+// A process that panics on a worker does not crash the program: the
+// worker recovers, the round completes, and Run re-raises a *PanicError
+// on the caller's goroutine after every worker has exited.
 func Run(cfg Config) (sim.Result, error) {
 	if cfg.Net == nil {
 		return sim.Result{}, fmt.Errorf("runtime: Config.Net is required")
@@ -91,70 +141,34 @@ func Run(cfg Config) (sim.Result, error) {
 	if cfg.Factory == nil {
 		return sim.Result{}, fmt.Errorf("runtime: Config.Factory is required")
 	}
-	sched := cfg.Schedule
-	if sched == nil {
-		sched = topology.BestSchedule(cfg.Net)
-	}
 	maxR := cfg.MaxRounds
 	if maxR <= 0 {
 		maxR = sim.DefaultMaxRounds
 	}
-	net := cfg.Net
-	size := net.Size()
+	e := newEngine(cfg)
 
-	states := make([]*nodeState, size)
-	for i := 0; i < size; i++ {
-		id := topology.NodeID(i)
-		states[i] = &nodeState{id: id, proc: cfg.Factory(id)}
-		states[i].ctx.st = states[i]
-	}
-
-	slotOf := func(id topology.NodeID) int { return sched.SlotOf(id) }
-	// crashAt[id] is the first silent round (noCrash = never); a dense
-	// array keeps the per-delivery crash check off the map path.
-	crashAt := make([]int, size)
-	for i := range crashAt {
-		crashAt[i] = noCrash
-	}
-	for id, at := range cfg.CrashAt {
-		if int(id) >= 0 && int(id) < size {
-			crashAt[id] = at
-		}
-	}
-
-	// Round 0: initialize processes (sequentially; Init is cheap and the
-	// source broadcast must be deterministic anyway).
-	var pending []transmission
-	for _, st := range states {
-		if crashAt[st.id] <= 0 {
+	// Round 0: Init runs on this goroutine, in id order.
+	for i := range e.states {
+		if e.crashAt[i] <= 0 {
 			continue
 		}
-		st.ctx.round = 0
-		st.proc.Init(&st.ctx)
-		st.noteDecision(0, cfg.Metrics)
-		pending = st.drainInto(pending, 1, crashAt) // transmits in round 1
+		st := &e.states[i]
+		st.proc.Init(st)
+		e.settle(st, 0)
 	}
-	sortTransmissions(pending, slotOf)
+	e.collect(1)
 
-	stats := sim.Stats{}
-	workers := cfg.Workers
-	if workers <= 0 || workers > size {
-		workers = size
-	}
-
-	// Per-round scratch, allocated once: the active-receiver mark bitset,
-	// the sorted active-id list and the worker-cap semaphore.
-	activeMark := topology.NewNodeSet(size)
-	ids := make([]topology.NodeID, 0, size)
-	sem := make(chan struct{}, workers)
+	// Two workers at least, so even one CPU sees concurrent deliveries.
+	e.start(min(max(goruntime.GOMAXPROCS(0), 2), max(len(e.states), 1)))
+	defer e.stop()
 
 	var done <-chan struct{}
 	if cfg.Context != nil {
 		done = cfg.Context.Done()
 	}
 	var deadlineErr error
-	recording := cfg.Metrics.Recording()
-
+	stats := sim.Stats{}
+	recording := e.tap.Recording()
 	for round := 1; round <= maxR; round++ {
 		if done != nil {
 			select {
@@ -167,82 +181,36 @@ func Run(cfg Config) (sim.Result, error) {
 				break
 			}
 		}
-		if len(pending) == 0 {
+		if len(e.pending) == 0 {
 			stats.Quiesced = true
 			break
 		}
 		stats.Rounds = round
-		stats.Broadcasts += len(pending)
-		cfg.Metrics.AddBroadcasts(round, int64(len(pending)))
+		stats.Broadcasts += len(e.pending)
+		e.tap.AddBroadcasts(round, int64(len(e.pending)))
 		if recording {
-			for _, tx := range pending {
-				cfg.Metrics.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+			for _, tx := range e.pending {
+				e.tap.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
 			}
 		}
+		deliveries := e.fanOut(round)
+		stats.Deliveries += deliveries
+		e.tap.AddDeliveries(round, int64(deliveries))
 
-		// Fan deliveries out to receiver inboxes. pending is already in
-		// slot order, so each inbox is deterministically ordered.
-		ids = ids[:0]
-		roundDeliveries := int64(0)
-		for _, tx := range pending {
-			for _, nb := range net.Neighbors(tx.from) {
-				if crashAt[nb] <= round {
-					continue
-				}
-				if !tx.msg.Audience.Includes(nb) {
-					continue // directional transmission (adversarial; see sim.Message.Audience)
-				}
-				stats.Deliveries++
-				roundDeliveries++
-				if recording {
-					cfg.Metrics.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
-				}
-				states[nb].inbox = append(states[nb].inbox, tx)
-				if !activeMark.Has(nb) {
-					activeMark.Add(nb)
-					ids = append(ids, nb)
-				}
-			}
+		e.deliver(round)
+		for _, id := range e.ids {
+			e.settle(&e.states[id], round)
 		}
-		cfg.Metrics.AddDeliveries(round, roundDeliveries)
-
-		// Process all inboxes concurrently, in deterministic id order.
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-		var wg sync.WaitGroup
-		for _, id := range ids {
-			st := states[id]
-			activeMark.Remove(id)
-			wg.Add(1)
-			sem <- struct{}{}
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				st.ctx.round = round
-				for _, tx := range st.inbox {
-					st.proc.Deliver(&st.ctx, tx.from, tx.msg)
-				}
-				st.inbox = st.inbox[:0]
-				st.noteDecision(round, cfg.Metrics)
-			}()
-		}
-		wg.Wait()
-
-		// Collect next round's transmissions in slot order.
-		pending = pending[:0]
-		for _, id := range ids {
-			pending = states[id].drainInto(pending, round+1, crashAt)
-		}
-		sortTransmissions(pending, slotOf)
+		e.collect(round + 1)
 	}
 
 	res := sim.Result{
 		Stats:        stats,
-		Decided:      make(map[topology.NodeID]byte, size),
-		DecidedRound: make(map[topology.NodeID]int, size),
+		Decided:      make(map[topology.NodeID]byte, len(e.states)),
+		DecidedRound: make(map[topology.NodeID]int, len(e.states)),
 	}
-	for _, st := range states {
-		if st.decided {
+	for i := range e.states {
+		if st := &e.states[i]; st.decided {
 			res.Decided[st.id] = st.value
 			res.DecidedRound[st.id] = st.decRnd
 		}
@@ -253,44 +221,195 @@ func Run(cfg Config) (sim.Result, error) {
 // noCrash is the crashAt sentinel for nodes that never crash.
 const noCrash = int(^uint(0) >> 1) // max int
 
-// drainInto appends the node's produced broadcasts to pending as
-// transmissions, dropping them if the node will be crashed when they would
-// transmit. The node's outbox keeps its capacity for the next round.
-func (st *nodeState) drainInto(pending []transmission, txRound int, crashAt []int) []transmission {
-	if len(st.out) == 0 {
-		return pending
+// newEngine builds every node's process and the per-run buffers, all
+// sized once.
+func newEngine(cfg Config) *engine {
+	size := cfg.Net.Size()
+	e := &engine{
+		net:     cfg.Net,
+		tap:     cfg.Metrics,
+		states:  make([]nodeState, size),
+		crashAt: make([]int, size),
+		order:   sim.SlotOrder(size, topology.BestSchedule(cfg.Net)),
+		rank:    make([]int, size),
+		outMark: topology.NewNodeSet(size),
+		active:  topology.NewNodeSet(size),
+		cnt:     make([]int, size),
+		ids:     make([]topology.NodeID, 0, size),
+		off:     make([]int, 0, size+1),
 	}
-	out := st.out
-	st.out = st.out[:0]
-	if crashAt[st.id] <= txRound {
-		return pending
+	for i := range e.states {
+		id := topology.NodeID(i)
+		e.states[i] = nodeState{id: id, proc: cfg.Factory(id)}
+		e.crashAt[i] = noCrash
 	}
-	for _, m := range out {
-		pending = append(pending, transmission{from: st.id, msg: m})
-	}
-	return pending
-}
-
-// noteDecision records the first decision.
-func (st *nodeState) noteDecision(round int, mc *metrics.Collector) {
-	if st.decided {
-		return
-	}
-	if v, ok := st.proc.Decided(); ok {
-		st.decided = true
-		st.value = v
-		st.decRnd = round
-		mc.AddCommit(round)
-	}
-}
-
-// sortTransmissions orders by (sender slot, sender id, FIFO within sender).
-func sortTransmissions(txs []transmission, slotOf func(topology.NodeID) int) {
-	sort.SliceStable(txs, func(i, j int) bool {
-		si, sj := slotOf(txs[i].from), slotOf(txs[j].from)
-		if si != sj {
-			return si < sj
+	for id, at := range cfg.CrashAt {
+		if int(id) >= 0 && int(id) < size {
+			e.crashAt[id] = at
 		}
-		return txs[i].from < txs[j].from
-	})
+	}
+	for r, id := range e.order {
+		e.rank[id] = r
+	}
+	return e
+}
+
+// settle notes a node's first decision and marks its queued broadcasts
+// for collection. Only the coordinator calls it, in id order, so commits
+// are counted deterministically.
+func (e *engine) settle(st *nodeState, round int) {
+	if !st.decided {
+		if v, ok := st.proc.Decided(); ok {
+			st.decided, st.value, st.decRnd = true, v, round
+			e.tap.AddCommit(round)
+		}
+	}
+	if len(st.out) > 0 {
+		e.outMark.Add(topology.NodeID(e.rank[st.id]))
+	}
+}
+
+// collect moves the marked outboxes into pending, in transmission order,
+// dropping the broadcasts of nodes that are silent by txRound.
+func (e *engine) collect(txRound int) {
+	e.pending = e.pending[:0]
+	for w, word := range e.outMark {
+		for word != 0 {
+			st := &e.states[e.order[w*64+bits.TrailingZeros64(word)]]
+			word &= word - 1
+			if e.crashAt[st.id] > txRound {
+				for _, m := range st.out {
+					e.pending = append(e.pending, transmission{from: st.id, msg: m})
+				}
+			}
+			st.out = st.out[:0]
+		}
+		e.outMark[w] = 0
+	}
+}
+
+// fanOut lays out the round's deliveries in the flat inbox and returns
+// their count. Each receiver's deliveries keep pending order, so every
+// process hears the same sequence as in the sequential engine.
+func (e *engine) fanOut(round int) int {
+	recording := e.tap.Recording()
+	n := 0
+	for _, tx := range e.pending {
+		for _, nb := range e.net.Neighbors(tx.from) {
+			if !e.hears(nb, round, &tx.msg) {
+				continue
+			}
+			if recording {
+				e.tap.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+			}
+			if e.cnt[nb] == 0 {
+				e.active.Add(nb)
+			}
+			e.cnt[nb]++
+			n++
+		}
+	}
+	// Receivers in id order; prefix sums turn each count into its fill
+	// cursor.
+	e.ids, e.off = e.ids[:0], e.off[:0]
+	at := 0
+	for w, word := range e.active {
+		for word != 0 {
+			id := topology.NodeID(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
+			e.ids = append(e.ids, id)
+			e.off = append(e.off, at)
+			at, e.cnt[id] = at+e.cnt[id], at
+		}
+		e.active[w] = 0
+	}
+	e.off = append(e.off, at)
+	e.inbox = slices.Grow(e.inbox[:0], n)[:n]
+	for k := range e.pending {
+		tx := &e.pending[k]
+		for _, nb := range e.net.Neighbors(tx.from) {
+			if !e.hears(nb, round, &tx.msg) {
+				continue
+			}
+			e.inbox[e.cnt[nb]] = k
+			e.cnt[nb]++
+		}
+	}
+	for _, id := range e.ids {
+		e.cnt[id] = 0
+	}
+	return n
+}
+
+// hears reports whether neighbor nb receives m in the round: it must not
+// be crashed, and a directional transmission must include it (see
+// sim.Message.Audience).
+func (e *engine) hears(nb topology.NodeID, round int, m *sim.Message) bool {
+	return e.crashAt[nb] > round && m.Audience.Includes(nb)
+}
+
+// start launches the run's workers.
+func (e *engine) start(workers int) {
+	e.work = make([]chan span, workers)
+	e.panics = make([]*PanicError, workers)
+	e.exited.Add(workers)
+	for w := range e.work {
+		e.work[w] = make(chan span, 1)
+		go e.worker(w)
+	}
+}
+
+// stop ends the workers and waits until all have exited.
+func (e *engine) stop() {
+	for _, ch := range e.work {
+		close(ch)
+	}
+	e.exited.Wait()
+}
+
+// worker delivers the spans it is handed, one per round, until stop.
+func (e *engine) worker(w int) {
+	defer e.exited.Done()
+	for s := range e.work[w] {
+		e.deliverSpan(w, s)
+		e.wg.Done()
+	}
+}
+
+// deliverSpan hands every receiver in s its inbox. A panicking process
+// ends the span; the panic is kept for the coordinator to re-raise.
+func (e *engine) deliverSpan(w int, s span) {
+	var id topology.NodeID
+	defer func() {
+		if r := recover(); r != nil {
+			e.panics[w] = &PanicError{Node: id, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	pending := e.pending
+	for j := s.lo; j < s.hi; j++ {
+		id = e.ids[j]
+		st := &e.states[id]
+		st.round = e.round
+		for _, k := range e.inbox[e.off[j]:e.off[j+1]] {
+			st.proc.Deliver(st, pending[k].from, pending[k].msg)
+		}
+	}
+}
+
+// deliver splits the round's receivers into one contiguous span per
+// worker, waits for every span, and re-raises the first worker panic.
+func (e *engine) deliver(round int) {
+	e.round = round
+	n := len(e.ids)
+	workers := min(len(e.work), n)
+	e.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		e.work[w] <- span{lo: w * n / workers, hi: (w + 1) * n / workers}
+	}
+	e.wg.Wait()
+	for _, p := range e.panics[:workers] {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	goruntime "runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/sim"
@@ -133,18 +136,6 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 	}
 }
 
-func TestWorkerCapRuns(t *testing.T) {
-	net := testNet(t, 10, 10, 1)
-	source := net.IDOf(grid.C(0, 0))
-	res, err := Run(Config{Net: net, Factory: floodFactory(source, 1), Workers: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Decided) != net.Size() {
-		t.Errorf("decided %d of %d", len(res.Decided), net.Size())
-	}
-}
-
 func TestCrashedSourceNeverStarts(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	source := net.IDOf(grid.C(0, 0))
@@ -189,3 +180,74 @@ func (b *babbler) Deliver(ctx sim.Context, _ topology.NodeID, _ sim.Message) {
 	}
 }
 func (b *babbler) Decided() (byte, bool) { return 0, false }
+
+// panicker panics on its first delivery at one node and floods elsewhere.
+type panicker struct {
+	floodProc
+	bad topology.NodeID
+}
+
+func (p *panicker) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) {
+	if ctx.Self() == p.bad {
+		panic("synthetic process bug")
+	}
+	p.floodProc.Deliver(ctx, from, m)
+}
+
+// TestProcessPanicReraisedOnCaller pins the panic contract: a process that
+// panics on a worker must not kill the program. Run re-raises it on the
+// calling goroutine, where a caller's recover can contain it, with the
+// worker's stack, and no worker outlives the run.
+func TestProcessPanicReraisedOnCaller(t *testing.T) {
+	net := testNet(t, 9, 9, 1)
+	source := net.IDOf(grid.C(0, 0))
+	bad := net.IDOf(grid.C(3, 3))
+	flood := floodFactory(source, 1)
+	factory := func(id topology.NodeID) sim.Process {
+		return &panicker{floodProc: *flood(id).(*floodProc), bad: bad}
+	}
+	before := goruntime.NumGoroutine()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_, _ = Run(Config{Net: net, Factory: factory})
+	}()
+	pe, ok := recovered.(*PanicError)
+	if !ok {
+		t.Fatalf("Run re-raised %T (%v), want *PanicError", recovered, recovered)
+	}
+	if pe.Node != bad || pe.Value != "synthetic process bug" {
+		t.Errorf("PanicError{Node: %d, Value: %v}, want node %d and the process's value", pe.Node, pe.Value, bad)
+	}
+	if !strings.Contains(string(pe.Stack), "(*panicker).Deliver") {
+		t.Errorf("the stack does not reach the panicking Deliver:\n%s", pe.Stack)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the panic, %d before: a worker outlived Run", n, before)
+	}
+}
+
+// TestRoundsAllocateNothing pins the round loop's point: a run allocates
+// and synchronises once per round, not once per receiving node, so its
+// allocation count does not grow with its round count.
+func TestRoundsAllocateNothing(t *testing.T) {
+	net := testNet(t, 9, 9, 1)
+	allocs := func(rounds int) float64 {
+		cfg := Config{Net: net, MaxRounds: rounds, Factory: func(topology.NodeID) sim.Process { return &babbler{} }}
+		return testing.AllocsPerRun(5, func() {
+			res, err := Run(cfg)
+			if err != nil || res.Stats.Rounds != rounds {
+				t.Fatalf("Run: %d rounds, err %v; want %d", res.Stats.Rounds, err, rounds)
+			}
+		})
+	}
+	short, long := allocs(8), allocs(64)
+	t.Logf("%.0f allocations at 8 rounds, %.0f at 64", short, long)
+	if long > short+4 {
+		t.Errorf("%.0f allocations at 64 rounds but %.0f at 8: rounds allocate", long, short)
+	}
+}

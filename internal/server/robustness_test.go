@@ -11,6 +11,10 @@ import (
 	"time"
 
 	rbcast "repro"
+	"repro/internal/grid"
+	"repro/internal/runtime"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 // otherScenario returns a valid scenario whose fingerprint differs from
@@ -196,6 +200,52 @@ func TestPanickingScenarioIsolated(t *testing.T) {
 	resp, _ = postJSON(t, ts, "/v1/run", bad)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("second panicking run status %d, want 500", resp.StatusCode)
+	}
+}
+
+// panicOnDeliver broadcasts at Init and panics on its first delivery.
+type panicOnDeliver struct{}
+
+func (panicOnDeliver) Init(ctx sim.Context) { ctx.Broadcast(sim.Message{Kind: sim.KindValue}) }
+func (panicOnDeliver) Deliver(sim.Context, topology.NodeID, sim.Message) {
+	panic("synthetic process bug")
+}
+func (panicOnDeliver) Decided() (byte, bool) { return 0, false }
+
+// TestConcurrentEnginePanicIsolated is TestPanickingScenarioIsolated on the
+// concurrent engine: a process panicking on one of internal/runtime's
+// workers must also become a 500 and leave the daemon healthy.
+func TestConcurrentEnginePanicIsolated(t *testing.T) {
+	srv := New(Options{
+		Runner: func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (rbcast.Result, error) {
+			if cfg.Width == 99 {
+				net := topology.MustNew(grid.Torus{W: 9, H: 9}, grid.Linf, 1)
+				factory := func(topology.NodeID) sim.Process { return panicOnDeliver{} }
+				_, err := runtime.Run(runtime.Config{Net: net, Factory: factory, Context: ctx})
+				return rbcast.Result{}, err
+			}
+			return rbcast.RunContext(ctx, cfg, plan)
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	bad := testScenario()
+	bad.Config.Width = 99
+	resp, body := postJSON(t, ts, "/v1/run", bad)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking run status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "panicked") {
+		t.Errorf("500 body does not report the panic: %s", body)
+	}
+	resp, body = postJSON(t, ts, "/v1/run", testScenario())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("daemon unhealthy after a panic: %d %s", resp.StatusCode, body)
+	}
+	_, metrics := getBody(t, ts, "/metrics")
+	if !strings.Contains(string(metrics), "rbcastd_panics_recovered_total 1") {
+		t.Error("recovered panic not counted in /metrics")
 	}
 }
 

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/topology"
@@ -193,7 +194,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sched:      sched,
 		mode:       mode,
 		procs:      make([]Process, size),
-		order:      make([]topology.NodeID, size),
+		order:      SlotOrder(size, sched),
 		outbox:     make([][]Message, size),
 		crashRound: make([]int, size),
 		maxR:       maxR,
@@ -225,17 +226,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if e.medium.lossy() {
 		e.rng = rand.New(rand.NewSource(e.medium.Seed))
 	}
-	for i := 0; i < size; i++ {
-		e.order[i] = topology.NodeID(i)
-	}
-	// Stable order: by slot, ties by id (slots may repeat across cells).
-	sort.SliceStable(e.order, func(i, j int) bool {
-		si, sj := sched.SlotOf(e.order[i]), sched.SlotOf(e.order[j])
-		if si != sj {
-			return si < sj
-		}
-		return e.order[i] < e.order[j]
-	})
 	for _, id := range e.order {
 		e.procs[id] = cfg.Factory(id)
 	}
@@ -248,6 +238,23 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.noteDecision(0, id)
 	}
 	return e, nil
+}
+
+// SlotOrder returns the ids [0, size) in transmission order: by slot of
+// sched, ties by id (slots repeat across cells). Both engines transmit in
+// this order, which is what makes their lock-step runs agree.
+func SlotOrder(size int, sched topology.Schedule) []topology.NodeID {
+	order := make([]topology.NodeID, size)
+	for i := range order {
+		order[i] = topology.NodeID(i)
+	}
+	slices.SortFunc(order, func(a, b topology.NodeID) int {
+		if c := cmp.Compare(sched.SlotOf(a), sched.SlotOf(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // survives reports whether at least one of the Retransmit copies of a

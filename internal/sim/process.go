@@ -38,6 +38,12 @@ type Process interface {
 // ProcessFactory builds the process for each node. The fault plan decides
 // which nodes get honest protocol processes and which get adversarial or
 // crashed ones.
+//
+// Every call returns a fresh process that shares no mutable state with any
+// other, so one factory may build the processes of several engines. The
+// engines call a factory from one goroutine at a time, so a factory may
+// keep unsynchronized state such as the slab its processes are carved
+// from.
 type ProcessFactory func(id topology.NodeID) Process
 
 // NopProcess ignores all deliveries and never decides; it models a node

@@ -132,9 +132,10 @@ type Config struct {
 	SourceY int `json:"source_y,omitempty"`
 	// MaxRounds bounds the execution (0 = a large default).
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Concurrent runs the goroutine-per-node engine instead of the
-	// deterministic sequential one. Results are identical; the concurrent
-	// engine exercises real parallelism.
+	// Concurrent runs the concurrent engine, whose workers process each
+	// round's deliveries in parallel, instead of the deterministic
+	// sequential one. Results are identical; the concurrent engine
+	// exercises real parallelism.
 	Concurrent bool `json:"concurrent,omitempty"`
 	// ExactEvidence switches ProtocolBV4 to exhaustive evidence
 	// evaluation (expensive; for validation at small radii). The default
@@ -182,6 +183,9 @@ func (c Config) validate() error {
 	if c.T < 0 {
 		return fmt.Errorf("rbcast: negative fault bound T = %d", c.T)
 	}
+	if c.T > protocol.MaxT {
+		return fmt.Errorf("rbcast: fault bound T = %d exceeds 2³¹−1 = %d", c.T, protocol.MaxT)
+	}
 	if c.LossRate < 0 || c.LossRate >= 1 {
 		return fmt.Errorf("rbcast: loss rate %v outside [0,1)", c.LossRate)
 	}
@@ -192,7 +196,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("rbcast: negative round bound MaxRounds = %d", c.MaxRounds)
 	}
 	if c.Concurrent {
-		// The goroutine-per-node engine supports only the paper's ideal
+		// The concurrent engine supports only the paper's ideal
 		// medium and is inherently lock-step; reject every
 		// sequential-engine-only option explicitly rather than silently
 		// dropping it.
@@ -269,12 +273,13 @@ func RunContext(ctx context.Context, cfg Config, plan FaultPlan) (Result, error)
 	}
 	params := pr.params(collector)
 
+	rc := pr.runConfig(params, ctx)
 	start := time.Now()
 	var out protocol.Outcome
 	if cfg.Concurrent {
-		out, err = runConcurrent(ctx, pr.kind, params, faulty, cfg.MaxRounds)
+		out, err = runConcurrent(rc)
 	} else {
-		out, err = protocol.Run(pr.runConfig(params, ctx))
+		out, err = protocol.Run(rc)
 	}
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return Result{}, err
@@ -366,7 +371,9 @@ func (p prepared) params(collector *metrics.Collector) protocol.Params {
 	}
 }
 
-// runConfig assembles the sequential-engine run configuration.
+// runConfig assembles the run configuration. The concurrent engine reads
+// only its protocol, fault and bound fields: validate rejects the
+// sequential-only options under Concurrent.
 func (p prepared) runConfig(params protocol.Params, ctx context.Context) protocol.RunConfig {
 	mode := sim.ModeFrame
 	if p.cfg.LockStep {
@@ -384,50 +391,25 @@ func (p prepared) runConfig(params protocol.Params, ctx context.Context) protoco
 	}
 }
 
-// runConcurrent executes on the goroutine-per-node engine.
-func runConcurrent(ctx context.Context, kind protocol.Kind, params protocol.Params, faulty materialized, maxRounds int) (protocol.Outcome, error) {
-	honest, err := protocol.NewFactory(kind, params)
+// runConcurrent executes on the concurrent engine (internal/runtime); its
+// processes and scoring are the sequential engine's.
+func runConcurrent(rc protocol.RunConfig) (protocol.Outcome, error) {
+	factory, err := rc.Factory()
 	if err != nil {
 		return protocol.Outcome{}, err
 	}
-	factory := func(id topology.NodeID) sim.Process {
-		if strat, ok := faulty.byzantine[id]; ok {
-			return strat.NewProcess(id)
-		}
-		return honest(id)
-	}
 	res, err := runtime.Run(runtime.Config{
-		Net:       params.Net,
+		Net:       rc.Params.Net,
 		Factory:   factory,
-		CrashAt:   faulty.crash,
-		MaxRounds: maxRounds,
-		Metrics:   params.Metrics,
-		Context:   ctx,
+		CrashAt:   rc.Crash,
+		MaxRounds: rc.MaxRounds,
+		Metrics:   rc.Params.Metrics,
+		Context:   rc.Context,
 	})
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return protocol.Outcome{}, err
 	}
-	out := protocol.Outcome{Result: res}
-	for i := 0; i < params.Net.Size(); i++ {
-		id := topology.NodeID(i)
-		if _, byz := faulty.byzantine[id]; byz {
-			continue
-		}
-		if _, crashed := faulty.crash[id]; crashed {
-			continue
-		}
-		out.Honest++
-		v, ok := res.Decided[id]
-		switch {
-		case !ok:
-			out.Undecided++
-		case v == params.Value:
-			out.Correct++
-		default:
-			out.Wrong++
-		}
-	}
-	return out, err
+	return protocol.Score(rc, res), err
 }
 
 // Threshold re-exports: the closed-form fault-tolerance bounds of the paper

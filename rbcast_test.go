@@ -1,6 +1,7 @@
 package rbcast
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,23 @@ func TestConfigValidation(t *testing.T) {
 		{"value 2", func(c *Config) { c.Value = 2 }, "value must be 0 or 1"},
 		{"value 255", func(c *Config) { c.Value = 255 }, "value must be 0 or 1"},
 		{"negative T", func(c *Config) { c.T = -1 }, "negative fault bound"},
+		{"T = 2³¹−1 ok", func(c *Config) { c.T = math.MaxInt32 }, ""},
+		// Unbounded, CPA's t+1 wraps negative and every node commits on
+		// one vote.
+		{"cpa T = MaxInt64", func(c *Config) {
+			*c = Config{Width: 24, Height: 14, Radius: 2, Protocol: ProtocolCPA, T: math.MaxInt64, Value: 1}
+		}, "exceeds 2³¹−1"},
+		// Unbounded, 3T+1 wraps to 13 and K13 passes the N ≥ 3T+1 check.
+		{"bracha 3T+1 wraps", func(c *Config) {
+			var edges [][2]int
+			for a := 0; a < 13; a++ {
+				for b := a + 1; b < 13; b++ {
+					edges = append(edges, [2]int{a, b})
+				}
+			}
+			*c = Config{Topology: TopologyCustom, Graph: &GraphSpec{Nodes: 13, Edges: edges},
+				Protocol: ProtocolBracha, T: 3074457345618258603, Value: 1}
+		}, "exceeds 2³¹−1"},
 		{"negative loss rate", func(c *Config) { c.LossRate = -0.1 }, "loss rate"},
 		{"loss rate 1", func(c *Config) { c.LossRate = 1 }, "loss rate"},
 		{"loss rate 1.5", func(c *Config) { c.LossRate = 1.5 }, "loss rate"},

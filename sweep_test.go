@@ -5,10 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
 )
 
 // sweepHash fingerprints a Result with Metrics.Wall zeroed — the same
@@ -307,6 +310,19 @@ func TestExecutionKeyBudgetTrap(t *testing.T) {
 	// And the sweep must produce scalar-identical results either way.
 	jobs := []Job{mk(1, 0), mk(3, 0), mk(1, 2), mk(3, 2)}
 	requireSweepMatchesScalar(t, "budget-trap", jobs)
+}
+
+// TestExecutionKeyOversizedT pins that flood's dead-T collapse stops at
+// protocol.MaxT: an element validation rejects must not share a valid
+// element's execution and come back with its result.
+func TestExecutionKeyOversizedT(t *testing.T) {
+	mk := func(tval int) Job {
+		return Job{Config: Config{Width: 8, Height: 8, Radius: 1, Protocol: ProtocolFlood, T: tval, Value: 1}}
+	}
+	if mk(1).executionKey() == mk(math.MaxInt64).executionKey() {
+		t.Error("T above protocol.MaxT is rejected by validation; keys must differ")
+	}
+	requireSweepMatchesScalar(t, "oversized-t", []Job{mk(1), mk(math.MaxInt64), mk(protocol.MaxT)})
 }
 
 // chordRing builds a ring of n nodes where each node also links to the node
