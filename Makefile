@@ -1,20 +1,22 @@
 GO ?= go
 
-.PHONY: verify ci build vet test bench-module race engine-cpus experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-serve
+.PHONY: verify ci build vet test bench-module race engine-cpus fuzz-store experiments serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke cover bench bench-smoke bench-sweep bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
 # request: tier-1 (build + test) plus vet, vet and tests of the bench/
 # module, the race detector across every package, the engine equivalence
-# tests at 1, 2, 4 and 8 CPUs (engine-cpus), the rbcastd serving
-# smoke test, the execution-trace smoke test, the saturation/backpressure
-# smoke test, the /v1/sweep planner smoke test, the flight-recorder/
-# live-progress smoke test, the benchmark-scenario golden-hash smoke, and
-# the sweep-engine gate (bench-sweep: about a second, gated on the
-# deterministic node-round ratio, so a noisy runner cannot flake it). The
+# tests at 1, 2, 4 and 8 CPUs (engine-cpus), a 10 s fuzz of the
+# evidence store against its reference model (fuzz-store), the rbcastd
+# serving smoke test, the execution-trace smoke test, the
+# saturation/backpressure smoke test, the /v1/sweep planner smoke test,
+# the flight-recorder/live-progress smoke test, the benchmark-scenario
+# golden-hash smoke, and the sweep-engine gate (bench-sweep: about a
+# second, gated on the deterministic node-round ratio, so a noisy runner
+# cannot flake it). The
 # allocation gate over the scenario matrix is a Go test (TestAllocBaseline),
 # so `test` runs it. The full benchmark suite and bench-serve stay out —
 # they need a quiet machine and run in the nightly workflow instead.
-ci: build vet test bench-module race engine-cpus serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
+ci: build vet test bench-module race engine-cpus fuzz-store serve-smoke trace-smoke load-smoke sweep-smoke obs-smoke bench-smoke bench-sweep
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
 verify: ci
@@ -44,6 +46,13 @@ race:
 # still agree with the sequential engine.
 engine-cpus:
 	$(GO) test -race -cpu 1,2,4,8 -run '^(TestEngineEquivalenceSweep|TestTraceEngineEquivalence|TestMetricsAgreeAcrossEngines|TestEquivalenceWithSequentialEngine|TestBV4ConcurrentEngine)$$' . ./internal/runtime ./internal/protocol
+
+# fuzz-store fuzzes the evidence store for 10 s against FuzzStore's
+# reference model: every Add and AddDirect result and the order of Chains
+# and ValueChains, over the store's one-copy, index-linked chain logs. The
+# nightly fuzz job runs it again with the other fuzz targets.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s ./internal/evidence
 
 experiments:
 	$(GO) run ./cmd/experiments

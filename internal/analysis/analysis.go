@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/evidence"
 	"repro/internal/grid"
+	"repro/internal/protocol"
 	"repro/internal/topology"
 )
 
@@ -41,6 +42,19 @@ func validate(net *topology.Network, source topology.NodeID) error {
 	}
 	if source < 0 || int(source) >= net.Size() {
 		return fmt.Errorf("analysis: source %d out of range", source)
+	}
+	return nil
+}
+
+// validateT rejects a fault bound the protocols would reject: a negative
+// one, or one above protocol.MaxT, past which the closures' t+1 quorum
+// can wrap and predict that every node commits.
+func validateT(t int) error {
+	if t < 0 {
+		return fmt.Errorf("analysis: negative fault bound %d", t)
+	}
+	if t > protocol.MaxT {
+		return fmt.Errorf("analysis: fault bound %d exceeds 2³¹−1 = %d", t, protocol.MaxT)
 	}
 	return nil
 }
@@ -104,8 +118,8 @@ func CPAClosure(net *topology.Network, source topology.NodeID, byzantine []topol
 	if err := validate(net, source); err != nil {
 		return Prediction{}, err
 	}
-	if t < 0 {
-		return Prediction{}, fmt.Errorf("analysis: negative fault bound %d", t)
+	if err := validateT(t); err != nil {
+		return Prediction{}, err
 	}
 	isF, err := faultSet(net, source, byzantine)
 	if err != nil {
@@ -175,8 +189,8 @@ func bv4ClosureWith(net *topology.Network, hpc pathCounter, source topology.Node
 	if net.Metric() != grid.Linf {
 		return Prediction{}, fmt.Errorf("analysis: BV4Closure requires the L∞ metric")
 	}
-	if t < 0 {
-		return Prediction{}, fmt.Errorf("analysis: negative fault bound %d", t)
+	if err := validateT(t); err != nil {
+		return Prediction{}, err
 	}
 	isF, err := faultSet(net, source, byzantine)
 	if err != nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bounds"
@@ -39,6 +40,34 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := BV4Closure(net, nil, 0, nil, 1); err == nil {
 		t.Error("nil family table must be rejected")
+	}
+	// A fault bound above protocol.MaxT is rejected as the protocols
+	// reject it: at math.MaxInt64 the t+1 quorum wraps negative, and the
+	// closures predicted that every node commits.
+	ft, err := evidence.NewFamilyTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := evidence.NewPatternMemo(ft)
+	for _, bound := range []int{protocol.MaxT + 1, math.MaxInt64} {
+		if _, err := CPAClosure(net, 0, nil, bound); err == nil {
+			t.Errorf("CPAClosure: t = %d must be rejected", bound)
+		}
+		if _, err := BV4Closure(net, ft, 0, nil, bound); err == nil {
+			t.Errorf("BV4Closure: t = %d must be rejected", bound)
+		}
+		if _, err := BV4ClosureMemo(net, memo, 0, nil, bound); err == nil {
+			t.Errorf("BV4ClosureMemo: t = %d must be rejected", bound)
+		}
+	}
+	// protocol.MaxT itself is a valid bound: no node but the source's
+	// neighbors can gather 2³¹ votes.
+	pred, err := CPAClosure(net, 0, nil, protocol.MaxT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + net.Degree(); pred.Count != want {
+		t.Errorf("CPAClosure at t = MaxT: %d commits, want the source and its %d neighbors", pred.Count, net.Degree())
 	}
 }
 

@@ -3,6 +3,7 @@ package evidence
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/topology"
@@ -15,13 +16,16 @@ import (
 // inner loops of the branch-and-bound (conflict tests, domination pruning,
 // take/untake) into a handful of word operations.
 
-// packer is the scratch every packing evaluation over one store reuses:
+// packer is the scratch of one packing evaluation: the gathered chains,
 // the compact node index, the chain masks, the candidate lists and the
-// branch-and-bound state. Its buffers grow with the evidence evaluated,
-// never with the network, and once they have reached the store's working
-// size an evaluation allocates nothing. Results are only valid until the
-// next call on the same packer.
+// branch-and-bound state. Evaluations borrow a packer from packers for
+// their duration, so the scratch is shared by every store instead of
+// grown in each. Its buffers grow with the evidence evaluated, never with
+// the network, and once they have reached the working size an evaluation
+// allocates nothing. Results are only valid until the next call on the
+// same packer.
 type packer struct {
+	chains  []Chain            // one origin's chains, gathered from a store
 	index   topology.NodeIndex // node id → compact bit index, per chainMasks call
 	bits    []int32            // each id occurrence's bit index, in chain order
 	backing []uint64           // the chain masks' words
@@ -37,6 +41,10 @@ type packer struct {
 	best   int
 	target int
 }
+
+// packers holds the idle packers. Evaluations run on the engines'
+// workers concurrently, and each holds its packer until it returns.
+var packers = sync.Pool{New: func() any { return new(packer) }}
 
 // popcount returns the number of set bits in m.
 func popcount(m []uint64) int {
@@ -107,12 +115,13 @@ func (p *packer) chainMasks(chains []Chain, withOrigin bool) ([][]uint64, int) {
 	// remembering each occurrence's number for the second.
 	p.index.Reset()
 	p.bits = p.bits[:0]
-	for _, c := range chains {
+	for i := range chains {
+		c := &chains[i]
 		if withOrigin {
 			b, _ := p.index.Put(c.Origin)
 			p.bits = append(p.bits, b)
 		}
-		for _, rel := range c.Relays {
+		for _, rel := range c.Relays() {
 			b, _ := p.index.Put(rel)
 			p.bits = append(p.bits, b)
 		}
@@ -121,9 +130,9 @@ func (p *packer) chainMasks(chains []Chain, withOrigin bool) ([][]uint64, int) {
 	p.backing = zeroed(p.backing, len(chains)*words)
 	p.masks = reserve(p.masks, len(chains))
 	bits := p.bits
-	for i, c := range chains {
+	for i := range chains {
 		m := p.backing[i*words : (i+1)*words : (i+1)*words]
-		k := len(c.Relays)
+		k := int(chains[i].n)
 		if withOrigin {
 			k++
 		}

@@ -1,51 +1,88 @@
 package evidence
 
 import (
-	"slices"
+	"fmt"
 
+	"repro/internal/paths"
 	"repro/internal/topology"
 )
 
 // Chain is one recorded report at a receiving node g: a claim that Origin
-// committed Value, relayed by Relays (origin-side first; empty for a direct
-// COMMITTED reception). A chain is an atomic evidence unit — the final
-// relayer attested the entire relay list, so sub-paths of different chains
-// must never be recombined (that would be unsound).
+// committed Value, relayed by up to paths.MaxIntermediates relays
+// (origin-side first; none for a direct COMMITTED reception). A chain is an
+// atomic evidence unit — the final relayer attested the entire relay list,
+// so sub-paths of different chains must never be recombined (that would be
+// unsound).
+//
+// The relays are held inline, so a Chain holds no pointer: a slice of
+// chains is one flat block the collector never scans, and copying a chain
+// copies its relays. Chains are comparable; two chains are equal when
+// their origins, values and relay sequences are.
 type Chain struct {
 	Origin topology.NodeID
 	Value  byte
-	Relays []topology.NodeID
+	n      uint8
+	relays [paths.MaxIntermediates]topology.NodeID
 }
 
+// NewChain returns the chain reporting that origin committed value,
+// relayed by relays. It panics when there are more than
+// paths.MaxIntermediates relays, which a Chain cannot hold; Store.Add
+// rejects such a list instead.
+func NewChain(origin topology.NodeID, value byte, relays ...topology.NodeID) Chain {
+	if len(relays) > paths.MaxIntermediates {
+		panic(fmt.Sprintf("evidence: a chain holds at most %d relays, got %d", paths.MaxIntermediates, len(relays)))
+	}
+	c := Chain{Origin: origin, Value: value, n: uint8(len(relays))}
+	copy(c.relays[:], relays)
+	return c
+}
+
+// Relays returns the chain's relays, origin-side first. The slice aliases
+// the chain; callers must not mutate it.
+func (c *Chain) Relays() []topology.NodeID { return c.relays[:c.n:c.n] }
+
 // Store accumulates the chains a node has recorded for the binary values 0
-// and 1. An index over the origins it has heard about leads to both
-// values' chain lists, and a per-value list of all evidence (relayed
-// chains plus direct receptions as relay-free chains) serves the
-// single-neighborhood commit rule without re-gathering. Chain lists and
-// relay ids live in two shared slabs, so recording a chain allocates only
-// when a slab or the index fills. Everything grows with the evidence
-// recorded, never with the network. A Store is not safe for concurrent
-// use.
+// and 1. Each value's log holds every piece of evidence for it in
+// insertion order — relayed chains and direct receptions, the latter as
+// relay-free chains — and is the only copy of each chain. The
+// single-neighborhood commit rule reads a log whole; an origin reaches its
+// relayed chains under a value through int32 links into that log, kept
+// beside it. Every table is pointer-free, and each starts at the first
+// capacity Init gives it when its first entry arrives, so a process
+// sized from its neighborhood allocates each table once, and a value it
+// never hears costs nothing. Everything grows with the evidence recorded,
+// never with the network. The zero Store is empty and grows from nothing.
+// A Store is not safe for concurrent use.
 type Store struct {
 	slot    topology.NodeIndex // origin → position in origins
 	origins []originEvidence
-	byValue [2][]Chain
-	// chainSlab backs every chain list; relaySlab backs every recorded
-	// chain's relays, so a caller's relay slice is never retained.
-	chainSlab []Chain
-	relaySlab []topology.NodeID
-	pack      packer // scratch reused by every packing evaluation
+	// logs[v] holds every chain recorded for value v, in insertion order.
+	// next[v][i] is the index in logs[v] of the origin's next relayed
+	// chain after logs[v][i], or −1 at the end of its list.
+	logs [2][]Chain
+	next [2][]int32
+	// The first capacities of origins (and slot) and of each value's log.
+	originCap, chainCap int
 }
 
 // originEvidence is one origin's evidence, per value.
 type originEvidence struct {
-	chains [2][]Chain // relayed chains, in insertion order
-	direct [2]bool    // COMMITTED heard directly from the origin
+	first  [2]int32 // index in logs[v] of the first relayed chain, −1 for none
+	direct [2]bool  // COMMITTED heard directly from the origin
 }
 
-// NewStore creates an empty evidence store.
+// NewStore creates an empty evidence store whose tables grow from nothing.
 func NewStore() *Store {
 	return &Store{}
+}
+
+// Init empties the store and sets its tables' first capacities: room for
+// the given number of origins, and for chains chains under each value.
+// Each table is allocated at that size when its first entry arrives and
+// grows past it as an appended slice does.
+func (s *Store) Init(origins, chains int) {
+	*s = Store{originCap: origins, chainCap: chains}
 }
 
 // find returns the origin's evidence, or nil when none is recorded.
@@ -58,11 +95,39 @@ func (s *Store) find(origin topology.NodeID) *originEvidence {
 
 // entry returns the origin's evidence, creating it when absent.
 func (s *Store) entry(origin topology.NodeID) *originEvidence {
+	if s.origins == nil {
+		s.slot.Reserve(s.originCap)
+		s.origins = make([]originEvidence, 0, s.originCap)
+	}
 	i, added := s.slot.Put(origin)
 	if added {
-		s.origins = append(s.origins, originEvidence{})
+		s.origins = append(s.origins, originEvidence{first: [2]int32{-1, -1}})
 	}
 	return &s.origins[i]
+}
+
+// record appends c to its value's log, unlinked, and returns its index.
+func (s *Store) record(c Chain) int32 {
+	v := c.Value
+	if s.logs[v] == nil {
+		s.logs[v] = make([]Chain, 0, s.chainCap)
+		s.next[v] = make([]int32, 0, s.chainCap)
+	}
+	s.logs[v] = append(s.logs[v], c)
+	s.next[v] = append(s.next[v], -1)
+	return int32(len(s.logs[v]) - 1)
+}
+
+// relayed returns value's log and links and the index of the origin's
+// first relayed chain under value, −1 when there is none. The origin's
+// chains are log[i] for i = first, next[first], … while i ≥ 0, in
+// insertion order.
+func (s *Store) relayed(origin topology.NodeID, value byte) (log []Chain, next []int32, first int32) {
+	e := s.find(origin)
+	if e == nil || value > 1 {
+		return nil, nil, -1
+	}
+	return s.logs[value], s.next[value], e.first[value]
 }
 
 // AddDirect records that the node heard COMMITTED(origin, value) on the
@@ -79,7 +144,7 @@ func (s *Store) AddDirect(origin topology.NodeID, value byte) bool {
 		return false
 	}
 	e.direct[value] = true
-	s.byValue[value] = s.appendChain(s.byValue[value], Chain{Origin: origin, Value: value})
+	s.record(Chain{Origin: origin, Value: value})
 	return true
 }
 
@@ -89,75 +154,63 @@ func (s *Store) HasDirect(origin topology.NodeID, value byte) bool {
 	return e != nil && value <= 1 && e.direct[value]
 }
 
-// Add records a relayed chain unless a chain from the same origin with the
-// same relay sequence is already recorded under either value — the first
-// version wins (§V) — or the value is not 0 or 1. It returns true when the
-// chain was recorded. The relays are copied; c.Relays is not retained.
-func (s *Store) Add(c Chain) bool {
-	if c.Value > 1 {
+// Add records the chain reporting that origin committed value, relayed by
+// relays, unless a chain from the same origin with the same relay sequence
+// is already recorded under either value — the first version wins (§V) —
+// or the value is not 0 or 1, or there are more than paths.MaxIntermediates
+// relays, which no chain of the paper's protocols carries. It returns true
+// when the chain was recorded. The relays are copied; the slice is not
+// retained.
+func (s *Store) Add(origin topology.NodeID, value byte, relays []topology.NodeID) bool {
+	if value > 1 || len(relays) > paths.MaxIntermediates {
 		return false
 	}
-	e := s.entry(c.Origin)
-	for _, chains := range e.chains {
-		for _, old := range chains {
-			if slices.Equal(old.Relays, c.Relays) {
+	c := NewChain(origin, value, relays...)
+	e := s.entry(origin)
+	tail := int32(-1) // the origin's last chain under value
+	for v := range e.first {
+		log, next := s.logs[v], s.next[v]
+		for i := e.first[v]; i >= 0; i = next[i] {
+			if old := &log[i]; old.n == c.n && old.relays == c.relays {
 				return false
+			}
+			if v == int(value) {
+				tail = i
 			}
 		}
 	}
-	c.Relays = s.copyRelays(c.Relays)
-	e.chains[c.Value] = s.appendChain(e.chains[c.Value], c)
-	s.byValue[c.Value] = s.appendChain(s.byValue[c.Value], c)
+	i := s.record(c)
+	if tail < 0 {
+		e.first[value] = i
+	} else {
+		s.next[value][tail] = i
+	}
 	return true
 }
 
 // Chains returns the recorded relayed chains for (origin, value), in
-// insertion order. The returned slice is shared; callers must not mutate
-// it.
+// insertion order, in a new slice.
 func (s *Store) Chains(origin topology.NodeID, value byte) []Chain {
-	if e := s.find(origin); e != nil && value <= 1 {
-		return e.chains[value]
+	return s.appendChains(nil, origin, value)
+}
+
+// appendChains appends the recorded relayed chains for (origin, value) to
+// dst, in insertion order.
+func (s *Store) appendChains(dst []Chain, origin topology.NodeID, value byte) []Chain {
+	log, next, first := s.relayed(origin, value)
+	for i := first; i >= 0; i = next[i] {
+		dst = append(dst, log[i])
 	}
-	return nil
+	return dst
 }
 
 // ValueChains returns every piece of evidence for the value across all
 // origins, direct receptions included (as relay-free chains), in insertion
-// order. The returned slice is shared; callers must not mutate it.
+// order. The returned slice is the store's log; callers must not mutate
+// it.
 func (s *Store) ValueChains(value byte) []Chain {
 	if value > 1 {
 		return nil
 	}
-	return s.byValue[value]
-}
-
-// copyRelays copies relays into the relay slab, starting a fresh slab
-// chunk (twice the last one) when the current chunk is full. Earlier
-// chunks stay reachable through the chains that use them.
-func (s *Store) copyRelays(relays []topology.NodeID) []topology.NodeID {
-	if len(relays) == 0 {
-		return nil
-	}
-	if cap(s.relaySlab)-len(s.relaySlab) < len(relays) {
-		s.relaySlab = make([]topology.NodeID, 0, max(len(relays), 2*cap(s.relaySlab), 64))
-	}
-	start := len(s.relaySlab)
-	s.relaySlab = append(s.relaySlab, relays...)
-	return s.relaySlab[start:len(s.relaySlab):len(s.relaySlab)]
-}
-
-// appendChain appends c to a chain list. A full list moves to a segment of
-// twice its capacity carved from the chain slab, so the lists share a few
-// slab chunks instead of each owning a backing array.
-func (s *Store) appendChain(list []Chain, c Chain) []Chain {
-	if len(list) == cap(list) {
-		n := max(2*cap(list), 2)
-		if cap(s.chainSlab)-len(s.chainSlab) < n {
-			s.chainSlab = make([]Chain, 0, max(n, 2*cap(s.chainSlab), 32))
-		}
-		at := len(s.chainSlab)
-		s.chainSlab = s.chainSlab[:at+n]
-		list = append(s.chainSlab[at:at:at+n], list...)
-	}
-	return append(list, c)
+	return s.logs[value]
 }

@@ -172,8 +172,8 @@ func (ft *FamilyTable) ConfirmedPaths(net *topology.Network, s *Store, receiver,
 	if !ok {
 		return 0
 	}
-	chains := s.Chains(origin, value)
-	if len(chains) == 0 {
+	log, next, first := s.relayed(origin, value)
+	if first < 0 {
 		return 0
 	}
 	// Pack each recorded chain's relay sequence once (receiver-relative),
@@ -181,8 +181,8 @@ func (ft *FamilyTable) ConfirmedPaths(net *topology.Network, s *Store, receiver,
 	// (a family has r(2r+1) paths) and nothing escapes to the heap.
 	var buf [32]uint64
 	recorded := buf[:0]
-	for _, c := range chains {
-		recorded = append(recorded, relayKey(net, receiver, c.Relays))
+	for i := first; i >= 0; i = next[i] {
+		recorded = append(recorded, relayKey(net, receiver, log[i].Relays()))
 	}
 	confirmed := 0
 	for _, pk := range fam.keys {
@@ -216,7 +216,7 @@ func (ft *FamilyTable) ConfirmedChainList(net *topology.Network, s *Store, recei
 	var out []Chain
 	for _, pk := range fam.keys {
 		for _, c := range chains {
-			if relayKey(net, receiver, c.Relays) == pk {
+			if relayKey(net, receiver, c.Relays()) == pk {
 				out = append(out, c)
 				break
 			}

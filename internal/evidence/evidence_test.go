@@ -18,18 +18,16 @@ func testNet(t *testing.T, w, h, r int) *topology.Network {
 
 func TestStoreDedup(t *testing.T) {
 	s := NewStore()
-	c := Chain{Origin: 5, Value: 1, Relays: []topology.NodeID{2, 3}}
-	if !s.Add(c) {
+	relays := []topology.NodeID{2, 3}
+	if !s.Add(5, 1, relays) {
 		t.Error("first add must succeed")
 	}
-	if s.Add(c) {
+	if s.Add(5, 1, relays) {
 		t.Error("duplicate add must be rejected")
 	}
 	// Same origin and relays under the other value: the first version
 	// wins (§V), so the store keeps only the value-1 chain.
-	c2 := c
-	c2.Value = 0
-	if s.Add(c2) {
+	if s.Add(5, 0, relays) {
 		t.Error("a contradictory version of a recorded chain must be rejected")
 	}
 	if len(s.Chains(5, 1)) != 1 || len(s.Chains(5, 0)) != 0 {
@@ -37,14 +35,19 @@ func TestStoreDedup(t *testing.T) {
 	}
 	// Any other origin or relay sequence is a new chain.
 	for i, v := range []Chain{
-		{Origin: 2, Value: 0, Relays: []topology.NodeID{2, 3}},
-		{Origin: 5, Value: 0, Relays: []topology.NodeID{2}},
-		{Origin: 5, Value: 0, Relays: []topology.NodeID{2, 3, 4}},
-		{Origin: 5, Value: 0, Relays: nil},
+		NewChain(2, 0, 2, 3),
+		NewChain(5, 0, 2),
+		NewChain(5, 0, 2, 3, 4),
+		NewChain(5, 0),
 	} {
-		if !s.Add(v) {
+		if !s.Add(v.Origin, v.Value, v.Relays()) {
 			t.Errorf("variant %d collides", i)
 		}
+	}
+	// A chain holds at most paths.MaxIntermediates relays; a longer list
+	// is rejected, not truncated.
+	if s.Add(6, 0, []topology.NodeID{1, 2, 3, 4}) || len(s.Chains(6, 0)) != 0 {
+		t.Error("a four-relay chain must be rejected")
 	}
 }
 
@@ -66,12 +69,12 @@ func TestStoreDirect(t *testing.T) {
 
 func TestChainKeyDistinguishesOrder(t *testing.T) {
 	s := NewStore()
-	if !s.Add(Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{2, 3}}) {
+	if !s.Add(1, 0, []topology.NodeID{2, 3}) {
 		t.Fatal("first add must succeed")
 	}
 	// Chains are attested sequences: the same relays in another order are
 	// a new chain.
-	if !s.Add(Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{3, 2}}) {
+	if !s.Add(1, 0, []topology.NodeID{3, 2}) {
 		t.Error("reordered relays must make a new chain")
 	}
 	if got := len(s.Chains(1, 0)); got != 2 {
@@ -82,9 +85,9 @@ func TestChainKeyDistinguishesOrder(t *testing.T) {
 func TestStoreCopiesRelays(t *testing.T) {
 	s := NewStore()
 	relays := []topology.NodeID{4, 5}
-	s.Add(Chain{Origin: 1, Value: 1, Relays: relays})
+	s.Add(1, 1, relays)
 	relays[0] = 9
-	if got := s.Chains(1, 1)[0].Relays; got[0] != 4 {
+	if got := s.Chains(1, 1)[0].Relays(); got[0] != 4 {
 		t.Errorf("stored relays alias the caller's slice: %v", got)
 	}
 }
@@ -99,7 +102,7 @@ func maxDisjointChains(chains []Chain, target int) int {
 
 func TestMaxDisjointChains(t *testing.T) {
 	mk := func(rels ...topology.NodeID) Chain {
-		return Chain{Origin: 99, Value: 1, Relays: rels}
+		return NewChain(99, 1, rels...)
 	}
 	tests := []struct {
 		name   string
@@ -125,7 +128,7 @@ func TestMaxDisjointChains(t *testing.T) {
 func TestMaxDisjointChainsEarlyExit(t *testing.T) {
 	var chains []Chain
 	for i := 0; i < 30; i++ {
-		chains = append(chains, Chain{Origin: 1, Value: 1, Relays: []topology.NodeID{topology.NodeID(i)}})
+		chains = append(chains, NewChain(1, 1, topology.NodeID(i)))
 	}
 	// With target 3, the search stops as soon as 3 are packed.
 	if got := maxDisjointChains(chains, 3); got < 3 {
@@ -150,11 +153,11 @@ func TestDeterminedExactViaChains(t *testing.T) {
 	relayA := net.IDOf(grid.C(3, 1))
 	relayB := net.IDOf(grid.C(3, 3))
 	s := NewStore()
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayA}})
+	s.Add(origin, 1, []topology.NodeID{relayA})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("one chain cannot satisfy need=2")
 	}
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayB}})
+	s.Add(origin, 1, []topology.NodeID{relayB})
 	if !DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("two disjoint in-nbd chains must determine")
 	}
@@ -172,8 +175,8 @@ func TestDeterminedExactRejectsSharedRelay(t *testing.T) {
 	far := net.IDOf(grid.C(3, 1))
 	s := NewStore()
 	// Two chains sharing their only relay: max packing is 1.
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared}})
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared, far}})
+	s.Add(origin, 1, []topology.NodeID{shared})
+	s.Add(origin, 1, []topology.NodeID{shared, far})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("chains sharing a relay are not disjoint evidence")
 	}
@@ -188,8 +191,8 @@ func TestDeterminedExactRequiresSingleNeighborhood(t *testing.T) {
 	nearRelay := net.IDOf(grid.C(6, 5))
 	farRelay := net.IDOf(grid.C(6, 9)) // outside every candidate nbd
 	s := NewStore()
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{nearRelay}})
-	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{farRelay}})
+	s.Add(origin, 1, []topology.NodeID{nearRelay})
+	s.Add(origin, 1, []topology.NodeID{farRelay})
 	if DeterminedExact(net, s, recv, origin, 1, 2) {
 		t.Error("chains outside a single neighborhood must not count together")
 	}
@@ -219,7 +222,7 @@ func TestCommitSingleLevelDisjointness(t *testing.T) {
 	o1 := net.IDOf(grid.C(4, 2))
 	o2 := net.IDOf(grid.C(3, 2)) // o2 is also the relay of o1's chain
 	s := NewStore()
-	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{o2}})
+	s.Add(o1, 1, []topology.NodeID{o2})
 	s.AddDirect(o2, 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
 		t.Error("origin reused as relay violates collective disjointness")
@@ -237,9 +240,9 @@ func TestCommitSingleLevelIgnoresLongChains(t *testing.T) {
 	recv := net.IDOf(grid.C(2, 2))
 	o1 := net.IDOf(grid.C(3, 2))
 	s := NewStore()
-	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{
+	s.Add(o1, 1, []topology.NodeID{
 		net.IDOf(grid.C(3, 3)), net.IDOf(grid.C(2, 3)),
-	}})
+	})
 	s.AddDirect(net.IDOf(grid.C(2, 1)), 1)
 	if CommitSingleLevel(net, s, recv, 1, 2) {
 		t.Error("two-relay chains are not §VI-B evidence")
@@ -357,7 +360,7 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 		for j, off := range rels {
 			ids[j] = net.IDOf(recvC.Add(off))
 		}
-		s.Add(Chain{Origin: origin, Value: 1, Relays: ids})
+		s.Add(origin, 1, ids)
 		if got := ft.ConfirmedPaths(net, s, recv, origin, 1); got != i+1 {
 			t.Fatalf("after %d chains: confirmed = %d", i+1, got)
 		}

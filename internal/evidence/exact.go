@@ -19,12 +19,14 @@ func DeterminedExact(net *topology.Network, s *Store, receiver, origin topology.
 	if s.HasDirect(origin, value) {
 		return true
 	}
-	chains := s.Chains(origin, value)
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
+	p.chains = s.appendChains(p.chains[:0], origin, value)
+	chains := p.chains
 	if len(chains) < need {
 		return false
 	}
 	r := net.Radius()
-	p := &s.pack
 	// Pack every chain's relay set once; each candidate center then only
 	// filters the shared masks instead of rebuilding node sets.
 	masks, words := p.chainMasks(chains, false)
@@ -33,9 +35,9 @@ func DeterminedExact(net *topology.Network, s *Store, receiver, origin topology.
 			return net.Torus().Within(net.Metric(), center, net.CoordOf(id), r)
 		}
 		p.usable = reserve(p.usable, len(chains))
-		for i, c := range chains {
+		for i := range chains {
 			ok := true
-			for _, rel := range c.Relays {
+			for _, rel := range chains[i].Relays() {
 				if !inNbd(rel) {
 					ok = false
 					break
@@ -71,7 +73,8 @@ func DeterminedExactWitness(net *topology.Network, s *Store, receiver, origin to
 		return nil, false, false
 	}
 	r := net.Radius()
-	p := &s.pack
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
 	masks, words := p.chainMasks(all, false)
 	for _, center := range p.candidateCenters(net, net.CoordOf(receiver), origin) {
 		inNbd := func(id topology.NodeID) bool {
@@ -79,9 +82,9 @@ func DeterminedExactWitness(net *topology.Network, s *Store, receiver, origin to
 		}
 		var sub [][]uint64
 		var subIdx []int
-		for i, c := range all {
+		for i := range all {
 			fits := true
-			for _, rel := range c.Relays {
+			for _, rel := range all[i].Relays() {
 				if !inNbd(rel) {
 					fits = false
 					break
@@ -171,14 +174,15 @@ func commitSingleLevel(net *topology.Network, s *Store, receiver topology.NodeID
 	}
 	// Pack every chain's whole node set (origin AND relays — the §VI-B
 	// "collectively node-disjoint" requirement) once up front.
-	p := &s.pack
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
 	masks, words := p.chainMasks(all, true)
 	for dy := -span; dy <= span; dy++ {
 		for dx := -span; dx <= span; dx++ {
 			center := t.Wrap(anchor.Add(grid.C(dx, dy)))
 			if focus != nil {
 				ok := t.Within(m, center, net.CoordOf(focus.Origin), r)
-				for _, rel := range focus.Relays {
+				for _, rel := range focus.Relays() {
 					ok = ok && t.Within(m, center, net.CoordOf(rel), r)
 				}
 				if !ok {
@@ -189,15 +193,16 @@ func commitSingleLevel(net *topology.Network, s *Store, receiver topology.NodeID
 				return t.Within(m, center, net.CoordOf(id), r)
 			}
 			p.usable = reserve(p.usable, len(all))
-			for i, c := range all {
-				if len(c.Relays) > 1 {
+			for i := range all {
+				c := &all[i]
+				if c.n > 1 {
 					continue // two-hop protocol: at most one relay
 				}
 				if !inNbd(c.Origin) {
 					continue
 				}
 				ok := true
-				for _, rel := range c.Relays {
+				for _, rel := range c.Relays() {
 					if !inNbd(rel) {
 						ok = false
 						break
@@ -236,7 +241,9 @@ func CommitWitness(net *topology.Network, s *Store, receiver topology.NodeID, va
 	m := net.Metric()
 	anchor := net.CoordOf(receiver)
 	span := 3 * r
-	masks, words := s.pack.chainMasks(all, true)
+	p := packers.Get().(*packer)
+	defer packers.Put(p)
+	masks, words := p.chainMasks(all, true)
 	for dy := -span; dy <= span; dy++ {
 		for dx := -span; dx <= span; dx++ {
 			c := t.Wrap(anchor.Add(grid.C(dx, dy)))
@@ -245,15 +252,16 @@ func CommitWitness(net *topology.Network, s *Store, receiver topology.NodeID, va
 			}
 			var sub [][]uint64
 			var subIdx []int
-			for i, ch := range all {
-				if len(ch.Relays) > 1 {
+			for i := range all {
+				ch := &all[i]
+				if ch.n > 1 {
 					continue // two-hop protocol: at most one relay
 				}
 				if !inNbd(ch.Origin) {
 					continue
 				}
 				fits := true
-				for _, rel := range ch.Relays {
+				for _, rel := range ch.Relays() {
 					if !inNbd(rel) {
 						fits = false
 						break

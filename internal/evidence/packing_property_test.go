@@ -13,9 +13,11 @@ import (
 func maxDisjointSets(p *packer, sets []map[topology.NodeID]struct{}, target int) int {
 	chains := make([]Chain, len(sets))
 	for i, set := range sets {
+		var relays []topology.NodeID
 		for id := range set {
-			chains[i].Relays = append(chains[i].Relays, id)
+			relays = append(relays, id)
 		}
+		chains[i] = NewChain(0, 0, relays...)
 	}
 	masks, words := p.chainMasks(chains, false)
 	return p.maxDisjoint(masks, words, target)

@@ -20,12 +20,12 @@ func TestCommitSingleLevelRoleMixingRegression(t *testing.T) {
 	id := func(x, y int) topology.NodeID { return net.IDOf(grid.C(x, y)) }
 	recv := id(12, 3)
 	s := NewStore()
-	s.Add(Chain{Origin: id(0, 1), Value: 0, Relays: []topology.NodeID{id(13, 2)}})
-	s.Add(Chain{Origin: id(13, 1), Value: 0, Relays: []topology.NodeID{id(12, 2)}})
+	s.Add(id(0, 1), 0, []topology.NodeID{id(13, 2)})
+	s.Add(id(13, 1), 0, []topology.NodeID{id(12, 2)})
 	s.AddDirect(id(13, 2), 0)
-	s.Add(Chain{Origin: id(13, 2), Value: 0, Relays: []topology.NodeID{id(13, 3)}})
-	s.Add(Chain{Origin: id(0, 3), Value: 0, Relays: []topology.NodeID{id(13, 4)}})
-	s.Add(Chain{Origin: id(13, 3), Value: 0, Relays: []topology.NodeID{id(13, 4)}})
+	s.Add(id(13, 2), 0, []topology.NodeID{id(13, 3)})
+	s.Add(id(0, 3), 0, []topology.NodeID{id(13, 4)})
+	s.Add(id(13, 3), 0, []topology.NodeID{id(13, 4)})
 	s.AddDirect(id(13, 4), 0)
 	if CommitSingleLevel(net, s, recv, 0, 3) {
 		t.Error("need=3 must not be satisfiable (max disjoint packing is 2)")

@@ -64,7 +64,10 @@ type brachaProc struct {
 	// of v went out.
 	relayedVal [2]bool
 	relayed    [2][2]topology.NodeSet
-	tap        *metrics.Collector // evaluation counts, events and certificates (nil = off)
+	// closed is the size of the node's closed neighborhood: the endorsers
+	// a plain tally hears without spoofing, and its first capacity.
+	closed int
+	tap    *metrics.Collector // evaluation counts, events and certificates (nil = off)
 	// Trace-only certificate state, never allocated on untraced runs:
 	// ordered endorser lists per value, and the ECHO quorum snapshot taken
 	// when the node's own READY fired via the echo path.
@@ -84,9 +87,13 @@ type tally struct {
 	n     int
 }
 
-// add records an endorser; true means the tally changed.
-func (t *tally) add(id topology.NodeID) bool {
+// add records an endorser; true means the tally changed. A plain tally's
+// index starts with room for the ids of room endorsers.
+func (t *tally) add(id topology.NodeID, room int) bool {
 	if t.ids == nil {
+		if t.n == 0 {
+			t.heard.Reserve(room)
+		}
 		_, added := t.heard.Put(id)
 		t.n = t.heard.Len()
 		return added
@@ -99,15 +106,19 @@ func (t *tally) add(id topology.NodeID) bool {
 	return true
 }
 
-// newBrachaFactory builds Bracha processes. The quorum thresholds only
-// intersect when N ≥ 3f+1, so smaller networks are rejected at construction.
+// newBrachaFactory builds Bracha processes from slab chunks. The quorum
+// thresholds only intersect when N ≥ 3f+1, so smaller networks are
+// rejected at construction.
 func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 	auth := kind == BrachaAuth
 	if n := p.Net.Size(); n < 3*p.T+1 {
 		return nil, fmt.Errorf("protocol: %s needs N ≥ 3f+1 for quorum intersection, got N = %d, f = %d", kind, n, p.T)
 	}
+	chunk := min(procChunk, p.Net.Size())
+	var procs slab[brachaProc]
 	return func(id topology.NodeID) sim.Process {
-		b := &brachaProc{
+		b := procs.take(chunk)
+		*b = brachaProc{
 			self:   id,
 			source: p.Source,
 			n:      p.Net.Size(),
@@ -115,6 +126,7 @@ func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 			auth:   auth,
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
+			closed: len(p.Net.Closed(id)),
 			tap:    p.Metrics,
 		}
 		if auth {
@@ -242,7 +254,7 @@ func (b *brachaProc) echo(ctx sim.Context, v byte) {
 
 // addEcho records a distinct ECHO endorser; true means the tally changed.
 func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
-	if !b.echoes[v].add(id) {
+	if !b.echoes[v].add(id, b.closed) {
 		return false
 	}
 	if b.tap.Recording() {
@@ -253,7 +265,7 @@ func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
 
 // addReady records a distinct READY endorser; true means the tally changed.
 func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
-	if !b.readies[v].add(id) {
+	if !b.readies[v].add(id, b.closed) {
 		return false
 	}
 	if b.tap.Recording() {

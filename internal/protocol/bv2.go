@@ -32,17 +32,22 @@ type bv2Proc struct {
 	// whatever its value, so later contradictory retransmissions are
 	// ignored (§V). A committer is reported exactly when its first
 	// COMMITTED is recorded.
-	store *evidence.Store
+	store evidence.Store
 }
 
-// newBV2Factory builds two-hop protocol processes.
+// newBV2Factory builds two-hop protocol processes, with their stores, from
+// slab chunks, and sizes each store from the neighborhood.
 func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 	net, err := p.torus(BV2)
 	if err != nil {
 		return nil, err
 	}
+	origins, chains := storeSizes(net)
+	chunk := min(procChunk, net.Size())
+	var procs slab[bv2Proc]
 	return func(id topology.NodeID) sim.Process {
-		return &bv2Proc{
+		b := procs.take(chunk)
+		*b = bv2Proc{
 			self:   id,
 			source: p.Source,
 			t:      p.T,
@@ -50,8 +55,9 @@ func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 			spoof:  p.SpoofingPossible,
 			tap:    p.Metrics,
 			value:  p.Value,
-			store:  evidence.NewStore(),
 		}
+		b.store.Init(origins, chains)
+		return b
 	}, nil
 }
 
@@ -105,11 +111,10 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		if m.Origin == sender || m.Origin == b.self {
 			return
 		}
-		chain := evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}
-		if !b.store.Add(chain) {
+		if !b.store.Add(m.Origin, m.Value, m.Path) {
 			return // first version wins, whatever its value (§V)
 		}
-		b.tryCommit(ctx, chain)
+		b.tryCommit(ctx, evidence.NewChain(m.Origin, m.Value, m.Path...))
 	}
 }
 
@@ -125,7 +130,7 @@ func (b *bv2Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v 
 		Value:  v,
 		Path:   []topology.NodeID{b.self},
 	})
-	b.tryCommit(ctx, evidence.Chain{Origin: committer, Value: v})
+	b.tryCommit(ctx, evidence.NewChain(committer, v))
 }
 
 // tryCommit applies the §VI-B commit rule for the value of the newly
@@ -135,7 +140,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 		return
 	}
 	b.tap.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
-	if evidence.CommitSingleLevelFocused(b.net, b.store, b.self, chain.Value, b.t+1, chain) {
+	if evidence.CommitSingleLevelFocused(b.net, &b.store, b.self, chain.Value, b.t+1, chain) {
 		b.commit(ctx, chain.Value, b.chainCert(chain.Value))
 	}
 }
@@ -147,7 +152,7 @@ func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
 	if !b.tap.Recording() {
 		return nil
 	}
-	center, chains, ok := evidence.CommitWitness(b.net, b.store, b.self, v, b.t+1)
+	center, chains, ok := evidence.CommitWitness(b.net, &b.store, b.self, v, b.t+1)
 	if !ok {
 		return nil // defensive: the focused check just succeeded
 	}
@@ -157,9 +162,10 @@ func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
 		Evidence: make([]etrace.Evidence, 0, len(chains)),
 	}
 	for _, c := range chains {
-		item := etrace.Evidence{Origin: c.Origin, Direct: len(c.Relays) == 0}
-		if len(c.Relays) > 0 {
-			item.Chains = [][]topology.NodeID{append([]topology.NodeID(nil), c.Relays...)}
+		relays := c.Relays()
+		item := etrace.Evidence{Origin: c.Origin, Direct: len(relays) == 0}
+		if len(relays) > 0 {
+			item.Chains = [][]topology.NodeID{append([]topology.NodeID(nil), relays...)}
 		}
 		cert.Evidence = append(cert.Evidence, item)
 	}

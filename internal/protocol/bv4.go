@@ -53,12 +53,14 @@ type bv4Proc struct {
 	// store also dedupes COMMITTED by sender and HEARD by (origin, relay
 	// path): it records only the first version of each, whatever its
 	// value, so later contradictory retransmissions are ignored (§V).
-	store *evidence.Store
+	store evidence.Store
 	// local indexes nodes by node id. It holds only the origins and
 	// neighborhood centers the commit rule has touched, so the state grows
-	// with the evidence the process hears, not with the network.
-	local topology.NodeIndex
-	nodes []bv4Node
+	// with the evidence the process hears, not with the network. Both
+	// start with room for nodeCap nodes when the first is counted.
+	local   topology.NodeIndex
+	nodes   []bv4Node
+	nodeCap int
 }
 
 // bv4Node is the commit-rule state of one node.
@@ -96,19 +98,29 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			return nil, err
 		}
 	}
+	// Determined origins lie within 2r and the centers counting them
+	// within r of those, so a fault-free process counts at most the nodes
+	// of its 3r ball.
+	origins, chains := storeSizes(net)
+	nodes := net.Metric().ClosedBallSize(3 * net.Radius())
+	chunk := min(procChunk, net.Size())
+	var procs slab[bv4Proc]
 	return func(id topology.NodeID) sim.Process {
-		return &bv4Proc{
-			self:   id,
-			source: p.Source,
-			t:      p.T,
-			net:    net,
-			mode:   mode,
-			ft:     ft,
-			spoof:  p.SpoofingPossible,
-			tap:    p.Metrics,
-			value:  p.Value,
-			store:  evidence.NewStore(),
+		b := procs.take(chunk)
+		*b = bv4Proc{
+			self:    id,
+			source:  p.Source,
+			t:       p.T,
+			net:     net,
+			mode:    mode,
+			ft:      ft,
+			spoof:   p.SpoofingPossible,
+			tap:     p.Metrics,
+			value:   p.Value,
+			nodeCap: nodes,
 		}
+		b.store.Init(origins, chains)
+		return b
 	}, nil
 }
 
@@ -195,7 +207,7 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 			}
 		}
 	}
-	if !b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: m.Path}) {
+	if !b.store.Add(m.Origin, m.Value, m.Path) {
 		return // first version wins, whatever its value (§V)
 	}
 
@@ -224,9 +236,9 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 	b.tap.EvidenceEval(round, b.self, origin, v)
 	need := b.t + 1
 	if b.mode == Designated {
-		return evidence.DeterminedDesignated(b.net, b.ft, b.store, b.self, origin, v, need)
+		return evidence.DeterminedDesignated(b.net, b.ft, &b.store, b.self, origin, v, need)
 	}
-	return evidence.DeterminedExact(b.net, b.store, b.self, origin, v, need)
+	return evidence.DeterminedExact(b.net, &b.store, b.self, origin, v, need)
 }
 
 // onDetermined counts a newly reliably-determined committer and applies the
@@ -253,6 +265,10 @@ func (b *bv4Proc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte) 
 // node returns id's commit-rule state, creating it when absent. The
 // pointer is valid until the next call.
 func (b *bv4Proc) node(id topology.NodeID) *bv4Node {
+	if b.nodes == nil {
+		b.local.Reserve(b.nodeCap)
+		b.nodes = make([]bv4Node, 0, b.nodeCap)
+	}
 	i, added := b.local.Put(id)
 	if added {
 		b.nodes = append(b.nodes, bv4Node{id: id})
@@ -333,7 +349,7 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 			item.Direct = true
 		} else {
 			for _, c := range b.determinedChains(origin, v, need) {
-				item.Chains = append(item.Chains, append([]topology.NodeID(nil), c.Relays...))
+				item.Chains = append(item.Chains, append([]topology.NodeID(nil), c.Relays()...))
 			}
 		}
 		cert.Evidence = append(cert.Evidence, item)
@@ -346,9 +362,9 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 // accumulates, so the witness exists whenever determination fired.
 func (b *bv4Proc) determinedChains(origin topology.NodeID, v byte, need int) []evidence.Chain {
 	if b.mode == Designated {
-		return b.ft.ConfirmedChainList(b.net, b.store, b.self, origin, v)
+		return b.ft.ConfirmedChainList(b.net, &b.store, b.self, origin, v)
 	}
-	chains, _, _ := evidence.DeterminedExactWitness(b.net, b.store, b.self, origin, v, need)
+	chains, _, _ := evidence.DeterminedExactWitness(b.net, &b.store, b.self, origin, v, need)
 	return chains
 }
 

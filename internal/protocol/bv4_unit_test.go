@@ -215,11 +215,11 @@ func TestBV4SourceValueCommitsNeighbor(t *testing.T) {
 // origin or path is new.
 func TestHeardKeyDistinguishes(t *testing.T) {
 	s := evidence.NewStore()
-	s.Add(evidence.Chain{Origin: 1, Value: 1, Relays: []topology.NodeID{2, 3}})
-	s.Add(evidence.Chain{Origin: 4, Value: 0, Relays: []topology.NodeID{5}})
+	s.Add(1, 1, []topology.NodeID{2, 3})
+	s.Add(4, 0, []topology.NodeID{5})
 	for _, v := range []byte{0, 1} {
-		if s.Add(evidence.Chain{Origin: 1, Value: v, Relays: []topology.NodeID{2, 3}}) ||
-			s.Add(evidence.Chain{Origin: 4, Value: v, Relays: []topology.NodeID{5}}) {
+		if s.Add(1, v, []topology.NodeID{2, 3}) ||
+			s.Add(4, v, []topology.NodeID{5}) {
 			t.Errorf("identical keys must match under value %d", v)
 		}
 	}
@@ -234,7 +234,7 @@ func TestHeardKeyDistinguishes(t *testing.T) {
 		{4, []topology.NodeID{5, 6}},
 	}
 	for i, v := range variants {
-		if !s.Add(evidence.Chain{Origin: v.origin, Value: 1, Relays: v.path}) {
+		if !s.Add(v.origin, 1, v.path) {
 			t.Errorf("variant %d collides", i)
 		}
 	}

@@ -37,9 +37,9 @@ type cpaProc struct {
 	voters [2][]topology.NodeID
 }
 
-// newCPAFactory builds CPA processes, bump-allocated from slabs of
-// Net.Size() processes, and carves each heard list from a shared pool. As
-// in newFloodFactory, neither is indexed by id.
+// newCPAFactory builds CPA processes from slab chunks of Net.Size()
+// processes, and carves each heard list from a shared pool, which is not
+// indexed by id either.
 func newCPAFactory(p Params) sim.ProcessFactory {
 	// A heard list holds at most 2t+1 ids, and without spoofing only
 	// neighbors, so a node's carve is min(2t+1, degree). Comparing t with
@@ -58,14 +58,10 @@ func newCPAFactory(p Params) sim.ProcessFactory {
 	for i := 0; i < n; i++ {
 		poolSize += carve(topology.NodeID(i))
 	}
-	var slab []cpaProc
+	var procs slab[cpaProc]
 	var pool []topology.NodeID
 	return func(id topology.NodeID) sim.Process {
-		if len(slab) == 0 {
-			slab = make([]cpaProc, n)
-		}
-		c := &slab[0]
-		slab = slab[1:]
+		c := procs.take(n)
 		k := carve(id)
 		if len(pool) < k {
 			pool = make([]topology.NodeID, max(poolSize, k))

@@ -19,17 +19,13 @@ type floodProc struct {
 	tap     *metrics.Collector // records commits; never counts (nil = off)
 }
 
-// newFloodFactory builds flood processes, bump-allocated from slabs of
-// Net.Size() processes. A slab is never indexed by id: one factory may
-// serve several engines, so a slab runs out and the next one starts.
+// newFloodFactory builds flood processes from slab chunks of Net.Size()
+// processes.
 func newFloodFactory(p Params) sim.ProcessFactory {
-	var slab []floodProc
+	n := p.Net.Size()
+	var procs slab[floodProc]
 	return func(id topology.NodeID) sim.Process {
-		if len(slab) == 0 {
-			slab = make([]floodProc, p.Net.Size())
-		}
-		f := &slab[0]
-		slab = slab[1:]
+		f := procs.take(n)
 		*f = floodProc{self: id, source: p.Source, value: p.Value, tap: p.Metrics}
 		return f
 	}

@@ -144,6 +144,40 @@ func namesOutsider(n int, spoofingPossible bool, m sim.Message) bool {
 	return false
 }
 
+// slab hands out zeroed values of T carved from chunks, so a factory
+// allocates once per chunk instead of once per process. It is never
+// indexed by id: one factory may serve several engines, so a chunk runs
+// out and the next one starts.
+type slab[T any] []T
+
+// take returns the next zeroed value, starting a chunk of the given
+// length when the current one is used up.
+func (s *slab[T]) take(chunk int) *T {
+	if len(*s) == 0 {
+		*s = make([]T, chunk)
+	}
+	v := &(*s)[0]
+	*s = (*s)[1:]
+	return v
+}
+
+// procChunk caps the chunk length of the BV4, BV2 and Bracha slabs.
+// Their processes are larger than flood's and CPA's, whose chunks are a
+// whole network, so a chunk is the network only up to this size: past it,
+// building a process costs the same bytes on any network.
+const procChunk = 64
+
+// storeSizes returns the first capacities of a BV4 or BV2 process's
+// evidence store, taken from its neighborhood: the origins of its two-hop
+// ball, and d² chains per value for degree d — a chain through each
+// neighbor from each of that neighbor's other d−1 neighbors, plus the d
+// direct receptions. In a fault-free radius-1 run every process ends with
+// exactly these sizes.
+func storeSizes(net *topology.Network) (origins, chains int) {
+	d := net.Degree()
+	return net.Metric().BallSize(2 * net.Radius()), d * d
+}
+
 // newNodeSets points each of sets at an empty topology.NodeSet over the
 // ids [0, n), all carved from one allocation.
 func newNodeSets(n int, sets ...*topology.NodeSet) {

@@ -184,43 +184,61 @@ func TestBV4DesignatedFaultFreeR2(t *testing.T) {
 }
 
 // TestSharedFactoryBuildsIndependentEngines pins the slab factories'
-// contract: one flood and one CPA factory each build two engines before
-// either runs, and each run must equal a run over a fresh factory. A slab
-// indexed by id would hand both engines the same processes.
+// contract: one factory of each kind builds two engines before either
+// runs, and each run must equal a run over a fresh factory. A slab indexed
+// by id would hand both engines the same processes.
 func TestSharedFactoryBuildsIndependentEngines(t *testing.T) {
 	net := testNet(t, 12, 12, 2)
 	p := Params{Net: net, Source: net.IDOf(grid.C(0, 0)), Value: 1, T: 2}
-	configs := []sim.Config{
-		{Net: net},
-		{Net: net, Mode: sim.ModeNextRound, CrashAt: map[topology.NodeID]int{13: 1, 14: 2, 26: 0}},
+	// Exact mode relays every chain, so it gets a small network.
+	small := testNet(t, 6, 6, 1)
+	exact := Params{Net: small, Source: small.IDOf(grid.C(0, 0)), Value: 1, T: 1, Mode: Exact}
+	cases := []struct {
+		name string
+		kind Kind
+		p    Params
+	}{
+		{"flood", Flood, p},
+		{"cpa", CPA, p},
+		{"bv4", BV4, p},
+		{"bv4-exact", BV4, exact},
+		{"bv2", BV2, p},
+		{"bracha", Bracha, p},
+		{"bracha-auth", BrachaAuth, p},
 	}
-	for _, kind := range []Kind{Flood, CPA} {
-		shared, err := NewFactory(kind, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines := make([]*sim.Engine, len(configs))
-		for i, cfg := range configs {
-			cfg.Factory = shared
-			if engines[i], err = sim.NewEngine(cfg); err != nil {
-				t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			configs := []sim.Config{
+				{Net: c.p.Net},
+				{Net: c.p.Net, Mode: sim.ModeNextRound, CrashAt: map[topology.NodeID]int{13: 1, 14: 2, 26: 0}},
 			}
-		}
-		for i, cfg := range configs {
-			got, err := engines[i].Run()
+			shared, err := NewFactory(c.kind, c.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Factory, err = NewFactory(kind, p); err != nil {
-				t.Fatal(err)
+			engines := make([]*sim.Engine, len(configs))
+			for i, cfg := range configs {
+				cfg.Factory = shared
+				if engines[i], err = sim.NewEngine(cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
-			want, err := sim.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			for i, cfg := range configs {
+				got, err := engines[i].Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.Factory, err = NewFactory(c.kind, c.p); err != nil {
+					t.Fatal(err)
+				}
+				want, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("engine %d over a shared factory: %+v, over a fresh one: %+v", i, got.Stats, want.Stats)
+				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, engine %d over a shared factory: %+v, over a fresh one: %+v", kind, i, got.Stats, want.Stats)
-			}
-		}
+		})
 	}
 }

@@ -49,6 +49,14 @@ func (x *NodeIndex) Put(id NodeID) (num int32, added bool) {
 	return x.n - 1, true
 }
 
+// Reserve makes room for n ids in all, so that puts up to that many
+// allocate nothing. It never shrinks the table.
+func (x *NodeIndex) Reserve(n int) {
+	if 2*n > len(x.slots) {
+		x.resize(max(1<<bits.Len(uint(2*n-1)), 16))
+	}
+}
+
 // Reset empties the index, keeping its table for reuse.
 func (x *NodeIndex) Reset() {
 	clear(x.slots)
@@ -65,10 +73,12 @@ func (x *NodeIndex) slot(id NodeID) *indexSlot {
 	}
 }
 
-// grow doubles the table (to at least 16 slots) and re-inserts every id.
-func (x *NodeIndex) grow() {
+// grow doubles the table (to at least 16 slots).
+func (x *NodeIndex) grow() { x.resize(max(2*len(x.slots), 16)) }
+
+// resize moves every id into a new table of size slots, a power of two.
+func (x *NodeIndex) resize(size int) {
 	old := x.slots
-	size := max(2*len(old), 16)
 	x.slots = make([]indexSlot, size)
 	x.shift = uint(32 - bits.TrailingZeros(uint(size)))
 	for _, s := range old {

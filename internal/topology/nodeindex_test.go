@@ -62,3 +62,25 @@ func TestNodeIndexSizeFollowsIDsNotRange(t *testing.T) {
 		t.Errorf("4 ids took %d slots, want 16", len(x.slots))
 	}
 }
+
+// TestNodeIndexReserve pins that a reserved index takes that many ids
+// without growing, and that reserving more keeps every id's number.
+func TestNodeIndexReserve(t *testing.T) {
+	for _, n := range []int{1, 8, 24, 100} {
+		var x NodeIndex
+		x.Reserve(n)
+		slots := len(x.slots)
+		for i := 0; i < n; i++ {
+			x.Put(NodeID(i * 7919))
+		}
+		if len(x.slots) != slots {
+			t.Errorf("Reserve(%d): %d puts grew the table from %d to %d slots", n, n, slots, len(x.slots))
+		}
+		x.Reserve(4 * n)
+		for i := 0; i < n; i++ {
+			if num, ok := x.Lookup(NodeID(i * 7919)); !ok || num != int32(i) {
+				t.Fatalf("Reserve(%d) after %d puts: Lookup(%d) = %d, %v; want %d", 4*n, n, i*7919, num, ok, i)
+			}
+		}
+	}
+}
