@@ -43,9 +43,12 @@ race:
 # engine-cpus runs the engine equivalence tests under the race detector at
 # 1, 2, 4 and 8 CPUs. The concurrent engine starts max(GOMAXPROCS, 2)
 # workers, so every CPU count splits the rounds differently, and each must
-# still agree with the sequential engine.
+# still agree with the sequential engine. The three sweep ≡ scalar tests
+# ride along: the sweep executor's workers share one Result among the
+# jobs of an execution, and the server shares one packed result among
+# them.
 engine-cpus:
-	$(GO) test -race -cpu 1,2,4,8 -run '^(TestEngineEquivalenceSweep|TestTraceEngineEquivalence|TestMetricsAgreeAcrossEngines|TestEquivalenceWithSequentialEngine|TestBV4ConcurrentEngine)$$' . ./internal/runtime ./internal/protocol
+	$(GO) test -race -cpu 1,2,4,8 -run '^(TestEngineEquivalenceSweep|TestTraceEngineEquivalence|TestMetricsAgreeAcrossEngines|TestEquivalenceWithSequentialEngine|TestBV4ConcurrentEngine|TestSweepCrashRoundFamilies|TestSweepExecutionKeySharing|TestSweepHeterogeneous)$$' . ./internal/runtime ./internal/protocol
 
 # fuzz-store fuzzes the evidence store for 10 s against FuzzStore's
 # reference model: every Add and AddDirect result and the order of Chains

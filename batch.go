@@ -2,6 +2,7 @@ package rbcast
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 )
@@ -25,6 +26,35 @@ type BatchResult struct {
 	// *PanicError carrying the stack). A failure reaches only the jobs
 	// that share its execution unit (see BatchOptions.JobTimeout).
 	Err error
+	// exec names the execution that produced Result within one
+	// RunSweepJobs call: one plus the index of one of the jobs it served,
+	// the same in every one of them. Zero means unknown.
+	exec int
+}
+
+// PackBatch packs the valid Results of a RunSweepJobs call (see
+// BatchResult) once per execution: the jobs that shared an execution, and
+// so one Result value, share one *PackedResult. The other jobs get nil.
+func PackBatch(results []BatchResult) []*PackedResult {
+	packed := make([]*PackedResult, len(results))
+	byExec := make([]*PackedResult, len(results))
+	for i := range results {
+		br := &results[i]
+		if br.Err != nil && !errors.Is(br.Err, ErrDeadline) {
+			continue
+		}
+		shared := br.exec > 0 && br.exec <= len(results)
+		if shared && byExec[br.exec-1] != nil {
+			packed[i] = byExec[br.exec-1]
+			continue
+		}
+		p := br.Result.Pack()
+		packed[i] = &p
+		if shared {
+			byExec[br.exec-1] = &p
+		}
+	}
+	return packed
 }
 
 // ProgressUpdate is one live snapshot of a RunSweepJobs execution,

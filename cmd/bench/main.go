@@ -136,48 +136,16 @@ func runSmoke(goldenPath string) error {
 	return nil
 }
 
-// sweepWorkloads are the grids the -sweep mode measures: crash-round
-// sweeps with a dead threshold axis, the shape the incremental engine is
-// built for, across both cloneable protocols.
-func sweepWorkloads() []struct {
-	name string
-	spec rbcast.SweepSpec
-} {
-	crashRounds := make([]int, 24)
-	for i := range crashRounds {
-		crashRounds[i] = i + 1
-	}
-	return []struct {
-		name string
-		spec rbcast.SweepSpec
-	}{
-		{"flood/40x30", rbcast.SweepSpec{
-			Base: rbcast.Job{
-				Config: rbcast.Config{Width: 40, Height: 30, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
-				Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash},
-			},
-			Axes: rbcast.SweepAxes{Ts: []int{0, 1, 2}, CrashRounds: crashRounds},
-		}},
-		{"cpa/32x24", rbcast.SweepSpec{
-			Base: rbcast.Job{
-				Config: rbcast.Config{Width: 32, Height: 24, Radius: 2, Protocol: rbcast.ProtocolCPA, T: 2, Value: 1},
-				Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceGreedyBand, Strategy: rbcast.StrategyCrash},
-			},
-			Axes: rbcast.SweepAxes{Seeds: []int64{1, 2}, CrashRounds: crashRounds[:16]},
-		}},
-	}
-}
-
 // runSweepBench measures the incremental sweep engine against the scalar
 // reference — an independent rbcast.Run per element over the same worker
 // pool — on the same grids: per-element results must match exactly, and
 // the simulated node-round reduction (or, failing that, wall clock) must
 // reach minSpeedup. This is the performance gate for the sweep engine.
 func runSweepBench(minSpeedup float64) error {
-	for _, wl := range sweepWorkloads() {
-		jobs, err := wl.spec.Elements()
+	for _, wl := range scenarios.SweepGrids() {
+		jobs, err := wl.Spec.Elements()
 		if err != nil {
-			return fmt.Errorf("%s: %v", wl.name, err)
+			return fmt.Errorf("%s: %v", wl.Name, err)
 		}
 		scalarStart := time.Now()
 		scalar := make([]rbcast.BatchResult, len(jobs))
@@ -191,29 +159,29 @@ func runSweepBench(minSpeedup float64) error {
 		sweepWall := time.Since(sweepStart)
 		for i := range jobs {
 			if scalar[i].Err != nil || swept[i].Err != nil {
-				return fmt.Errorf("%s[%d]: scalar err %v, sweep err %v", wl.name, i, scalar[i].Err, swept[i].Err)
+				return fmt.Errorf("%s[%d]: scalar err %v, sweep err %v", wl.Name, i, scalar[i].Err, swept[i].Err)
 			}
 			bh, err := scenarios.ResultHash(scalar[i].Result)
 			if err != nil {
-				return fmt.Errorf("%s[%d]: %v", wl.name, i, err)
+				return fmt.Errorf("%s[%d]: %v", wl.Name, i, err)
 			}
 			sh, err := scenarios.ResultHash(swept[i].Result)
 			if err != nil {
-				return fmt.Errorf("%s[%d]: %v", wl.name, i, err)
+				return fmt.Errorf("%s[%d]: %v", wl.Name, i, err)
 			}
 			if bh != sh {
-				return fmt.Errorf("%s[%d]: sweep result %s diverges from scalar %s", wl.name, i, sh[:12], bh[:12])
+				return fmt.Errorf("%s[%d]: sweep result %s diverges from scalar %s", wl.Name, i, sh[:12], bh[:12])
 			}
 		}
 		nodeRatio := float64(stats.ScalarNodeRounds) / float64(max(stats.NodeRounds, 1))
 		wallRatio := float64(scalarWall) / float64(max(int64(sweepWall), 1))
 		fmt.Printf("%-14s %3d elements  %4d sims  %3d forks  node-rounds %d vs %d (%.2fx)  wall %v vs %v (%.2fx)\n",
-			wl.name, stats.Elements, stats.Simulations, stats.Forks,
+			wl.Name, stats.Elements, stats.Simulations, stats.Forks,
 			stats.NodeRounds, stats.ScalarNodeRounds, nodeRatio,
 			sweepWall.Round(time.Millisecond), scalarWall.Round(time.Millisecond), wallRatio)
 		if nodeRatio < minSpeedup && wallRatio < minSpeedup {
 			return fmt.Errorf("%s: node-round ratio %.2fx and wall ratio %.2fx both below the %.1fx gate",
-				wl.name, nodeRatio, wallRatio, minSpeedup)
+				wl.Name, nodeRatio, wallRatio, minSpeedup)
 		}
 	}
 	return nil

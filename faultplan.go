@@ -218,10 +218,7 @@ func (p FaultPlan) materialize(g topology.Graph, source topology.NodeID) (materi
 	}
 	switch strategy {
 	case StrategyCrash:
-		out.crash = make(map[topology.NodeID]int, len(ids))
-		for _, id := range ids {
-			out.crash[id] = p.CrashRound
-		}
+		out.crash = crashSchedule(ids, p.CrashRound)
 	case StrategySilent, StrategyLiar, StrategyForger, StrategySpoofer, StrategyEquivocator:
 		var fs fault.Strategy
 		switch strategy {
@@ -244,6 +241,15 @@ func (p FaultPlan) materialize(g topology.Graph, source topology.NodeID) (materi
 		return materialized{}, fmt.Errorf("rbcast: invalid strategy %d", int(strategy))
 	}
 	return out, nil
+}
+
+// crashSchedule silences every faulty node from the given round onward.
+func crashSchedule(faulty []topology.NodeID, round int) map[topology.NodeID]int {
+	crash := make(map[topology.NodeID]int, len(faulty))
+	for _, id := range faulty {
+		crash[id] = round
+	}
+	return crash
 }
 
 // filterFaulty canonicalizes a raw placement: the designated source stays

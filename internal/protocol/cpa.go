@@ -148,19 +148,31 @@ func (c *cpaProc) Decided() (byte, bool) {
 	return c.value, true
 }
 
-// CloneProcess implements sim.CloneableProcess: copies the heard list and
-// the trace-only voter lists so the fork's vote bookkeeping evolves
-// independently of the original's. The clone shares the collector pointer
-// with the original. That is still exact: CPA makes only record-only calls
-// on it, and forking is gated to engines whose collector does not record.
-func (c *cpaProc) CloneProcess() sim.Process {
-	g := *c
-	g.heard = slices.Clone(c.heard)
-	for v := range c.voters {
-		g.voters[v] = append([]topology.NodeID(nil), c.voters[v]...)
+// cloneCPAs is CPA's sim.Config.Clone. It copies the processes into one
+// slab and their heard lists into one pool, each list keeping its capacity
+// so the fork's votes fill its carve as the original's would, and copies
+// the trace-only voter lists, so the fork's vote bookkeeping evolves
+// independently of the original's. The clones share the collector pointer
+// with the originals. That is still exact: CPA makes only record-only
+// calls on it, and forking is gated to engines whose collector does not
+// record.
+func cloneCPAs(procs []sim.Process) []sim.Process {
+	clones, slab := cloneSlab[cpaProc](procs)
+	size := 0
+	for i := range slab {
+		size += cap(slab[i].heard)
 	}
-	return &g
+	pool := make([]topology.NodeID, size)
+	for i := range slab {
+		c := &slab[i]
+		k := cap(c.heard)
+		c.heard = pool[:copy(pool, c.heard):k]
+		pool = pool[k:]
+		for v := range c.voters {
+			c.voters[v] = slices.Clone(c.voters[v])
+		}
+	}
+	return clones
 }
 
 var _ sim.Process = (*cpaProc)(nil)
-var _ sim.CloneableProcess = (*cpaProc)(nil)

@@ -69,15 +69,14 @@ func (f *floodProc) Decided() (byte, bool) {
 	return f.value, true
 }
 
-// CloneProcess implements sim.CloneableProcess: flood state is a handful of
-// scalars, so a struct copy is an exact fork. The clone shares the
-// collector pointer with the original. That is still exact: flood makes
-// only record-only calls on it, and forking is gated to engines whose
-// collector does not record.
-func (f *floodProc) CloneProcess() sim.Process {
-	g := *f
-	return &g
+// cloneFloods is flood's sim.Config.Clone: flood state is a handful of
+// scalars, so copying every process into one slab is an exact fork. The
+// clones share the collector pointer with the originals. That is still
+// exact: flood makes only record-only calls on it, and forking is gated to
+// engines whose collector does not record.
+func cloneFloods(procs []sim.Process) []sim.Process {
+	clones, _ := cloneSlab[floodProc](procs)
+	return clones
 }
 
 var _ sim.Process = (*floodProc)(nil)
-var _ sim.CloneableProcess = (*floodProc)(nil)

@@ -161,6 +161,22 @@ func (s *slab[T]) take(chunk int) *T {
 	return v
 }
 
+// cloneSlab copies procs, each a *T, into one new slab and returns the
+// copies, in order, both as processes and as the slab, where a caller
+// detaches what a struct copy shares.
+func cloneSlab[T any, P interface {
+	*T
+	sim.Process
+}](procs []sim.Process) ([]sim.Process, []T) {
+	slab := make([]T, len(procs))
+	clones := make([]sim.Process, len(procs))
+	for i, p := range procs {
+		slab[i] = *p.(P)
+		clones[i] = P(&slab[i])
+	}
+	return clones, slab
+}
+
 // procChunk caps the chunk length of the BV4, BV2 and Bracha slabs.
 // Their processes are larger than flood's and CPA's, whose chunks are a
 // whole network, so a chunk is the network only up to this size: past it,

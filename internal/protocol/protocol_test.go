@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -240,5 +241,100 @@ func TestSharedFactoryBuildsIndependentEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForkClonesWholeSlabs pins the slab clones behind sim.Engine.Fork
+// for flood and CPA: a fork after round 1 allocates the same number of
+// times on a 12×12 and a 48×48 torus, because processes, CPA's heard
+// lists and the queued messages (CPA has some queued then) are each
+// copied into one allocation, and every cloned heard list keeps its
+// capacity. Both the fork and its original then finish exactly as a
+// fresh run does.
+func TestForkClonesWholeSlabs(t *testing.T) {
+	for _, kind := range []Kind{Flood, CPA} {
+		t.Run(kind.String(), func(t *testing.T) {
+			var allocs []float64
+			for _, side := range []int{12, 48} {
+				net := testNet(t, side, side, 2)
+				rc := RunConfig{Kind: kind, Params: Params{Net: net, Source: net.IDOf(grid.C(0, 0)), Value: 1, T: 2}}
+				eng, err := NewEngine(rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !eng.Forkable() {
+					t.Fatal("engine is not forkable")
+				}
+				if _, err := eng.RunUntil(1); err != nil {
+					t.Fatal(err)
+				}
+				allocs = append(allocs, testing.AllocsPerRun(10, func() {
+					if _, err := eng.Fork(nil, nil); err != nil {
+						t.Fatal(err)
+					}
+				}))
+				fork, err := eng.Fork(nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kind == CPA {
+					requireHeardCapacityKept(t, rc)
+				}
+				want, err := Run(rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, e := range map[string]*sim.Engine{"fork": fork, "original": eng} {
+					got, err := e.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want.Result) {
+						t.Errorf("%d×%d: the %s finished with %+v, a fresh run with %+v", side, side, name, got.Stats, want.Result.Stats)
+					}
+				}
+			}
+			if allocs[0] != allocs[1] {
+				t.Errorf("a fork allocates %.0f times on 12×12 and %.0f times on 48×48", allocs[0], allocs[1])
+			}
+			t.Logf("a fork allocates %.0f times", allocs[0])
+		})
+	}
+}
+
+// requireHeardCapacityKept forks a CPA engine through a clone that checks
+// every cloned heard list's capacity against its original's.
+func requireHeardCapacityKept(t *testing.T, rc RunConfig) {
+	t.Helper()
+	factory, err := rc.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	eng, err := sim.NewEngine(sim.Config{Net: rc.Params.Net, Factory: factory, Clone: func(procs []sim.Process) []sim.Process {
+		clones := cloneCPAs(procs)
+		for i := range procs {
+			o, c := procs[i].(*cpaProc), clones[i].(*cpaProc)
+			if cap(c.heard) != cap(o.heard) || !slices.Equal(c.heard, o.heard) {
+				t.Fatalf("node %d: cloned heard list %v (capacity %d), original %v (capacity %d)",
+					i, c.heard, cap(c.heard), o.heard, cap(o.heard))
+			}
+			if len(o.heard) > 0 {
+				checked++
+			}
+		}
+		return clones
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Fork(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Error("no process had heard a vote at the fork")
 	}
 }

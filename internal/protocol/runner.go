@@ -118,7 +118,24 @@ func NewEngine(cfg RunConfig) (*sim.Engine, error) {
 		Medium:    cfg.Medium,
 		Metrics:   cfg.Params.Metrics,
 		Context:   cfg.Context,
+		Clone:     cfg.clone(),
 	})
+}
+
+// clone returns the slab clone that makes the engine forkable: flood's or
+// CPA's, whose processes are value snapshots, when every node runs the
+// honest process. Any other scenario gets nil.
+func (cfg RunConfig) clone() func([]sim.Process) []sim.Process {
+	if len(cfg.Byzantine) > 0 {
+		return nil
+	}
+	switch cfg.Kind {
+	case Flood:
+		return cloneFloods
+	case CPA:
+		return cloneCPAs
+	}
+	return nil
 }
 
 // Score tallies honest-node outcomes of an engine result: Run's own, or one

@@ -15,4 +15,7 @@
 //     within 10% of testdata/bench_baseline.json, by scenario name;
 //   - the root TestTraceFoldsIntoMetrics checks each scenario's traced
 //     events against its per-round Metrics.
+//
+// SweepGrids are the canonical sweep grids, shared the same way by
+// cmd/bench -sweep and the root TestSweepAllocs.
 package scenarios

@@ -189,6 +189,42 @@ func Matrix() []Scenario {
 	}
 }
 
+// SweepGrid is one named sweep workload.
+type SweepGrid struct {
+	// Name identifies the grid in cmd/bench -sweep output.
+	Name string
+	// Spec is the grid.
+	Spec rbcast.SweepSpec
+}
+
+// SweepGrids returns the canonical sweep grids: crash-round sweeps whose
+// dead threshold axis and shared wavefront prefixes are what the sweep
+// engine exists to exploit, across both protocols whose engines fork.
+// cmd/bench -sweep gates them against scalar runs, and the root
+// TestSweepAllocs budgets their allocations.
+func SweepGrids() []SweepGrid {
+	crashRounds := make([]int, 24)
+	for i := range crashRounds {
+		crashRounds[i] = i + 1
+	}
+	return []SweepGrid{
+		{"flood/40x30", rbcast.SweepSpec{
+			Base: rbcast.Job{
+				Config: rbcast.Config{Width: 40, Height: 30, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
+				Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash},
+			},
+			Axes: rbcast.SweepAxes{Ts: []int{0, 1, 2}, CrashRounds: crashRounds},
+		}},
+		{"cpa/32x24", rbcast.SweepSpec{
+			Base: rbcast.Job{
+				Config: rbcast.Config{Width: 32, Height: 24, Radius: 2, Protocol: rbcast.ProtocolCPA, T: 2, Value: 1},
+				Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceGreedyBand, Strategy: rbcast.StrategyCrash},
+			},
+			Axes: rbcast.SweepAxes{Seeds: []int64{1, 2}, CrashRounds: crashRounds[:16]},
+		}},
+	}
+}
+
 // complete builds K_n — the quorum family's home turf, where every
 // endorsement is heard by every node in one hop.
 func complete(n int) *rbcast.GraphSpec {

@@ -333,8 +333,16 @@ func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job
 		batch, stats = s.opts.SweepRunner(missJobs, opts)
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
+		// Elements that shared an execution share one packed result, and
+		// a batch counts each execution it ran once.
+		packed := rbcast.PackBatch(batch)
+		var observed map[*rbcast.PackedResult]bool
+		if job != nil {
+			observed = make(map[*rbcast.PackedResult]bool)
+		}
 		for k, br := range batch {
-			if s.settle(&results[missIndex[k]], br) && job != nil {
+			if s.settle(&results[missIndex[k]], br, packed[k]) && job != nil && !observed[packed[k]] {
+				observed[packed[k]] = true
 				s.observe(br.Result)
 			}
 		}
@@ -353,27 +361,25 @@ func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job
 	return results, stats
 }
 
-// settle fills an executed batch or sweep element from its result. A
-// success is packed and cached. An element cut by the job deadline
-// surfaces its partial state alongside the error, packed but never
-// cached; a panicked element is counted as a recovered panic; any other
-// failure keeps only its error. It reports success.
-func (s *Server) settle(el *element, br rbcast.BatchResult) bool {
+// settle fills an executed batch or sweep element from its result and
+// its packed form (rbcast.PackBatch). A success is cached. An element cut
+// by the job deadline surfaces its partial state alongside the error,
+// never cached; a panicked element is counted as a recovered panic; any
+// other failure keeps only its error. It reports success.
+func (s *Server) settle(el *element, br rbcast.BatchResult, packed *rbcast.PackedResult) bool {
 	if br.Err != nil {
 		el.err = br.Err.Error()
 		var pe *rbcast.PanicError
 		switch {
 		case errors.Is(br.Err, rbcast.ErrDeadline):
 			s.deadlineRuns.Add(1)
-			packed := br.Result.Pack()
-			el.res, el.partial = &packed, true
+			el.res, el.partial = packed, true
 		case errors.As(br.Err, &pe):
 			s.panicsRecovered.Add(1)
 		}
 		return false
 	}
-	packed := br.Result.Pack()
-	el.res = &packed
+	el.res = packed
 	s.cache.Put(el.fp, el.res)
 	return true
 }

@@ -67,14 +67,39 @@ func appendRunResponse(dst []byte, fp string, res *rbcast.PackedResult) ([]byte,
 	return append(dst, '}', '\n'), nil
 }
 
+// resultMemo renders a packed result once for a run of consecutive
+// elements that share it (resolveJobs gives the elements of one execution
+// one *rbcast.PackedResult) and copies the bytes for the rest of the run.
+// A nil memo renders every time.
+type resultMemo struct {
+	res  *rbcast.PackedResult
+	json []byte
+}
+
+// appendJSON appends res.AppendJSON's bytes.
+func (m *resultMemo) appendJSON(dst []byte, res *rbcast.PackedResult) ([]byte, error) {
+	if m == nil {
+		return res.AppendJSON(dst)
+	}
+	if res != m.res {
+		rendered, err := res.AppendJSON(m.json[:0])
+		if err != nil {
+			m.res = nil
+			return dst, err
+		}
+		m.res, m.json = res, rendered
+	}
+	return append(dst, m.json...), nil
+}
+
 // appendElement renders an element's members after the opening brace of
 // its JobResult or SweepElement object, and closes the object.
-func appendElement(dst []byte, e *element) ([]byte, error) {
+func appendElement(dst []byte, e *element, memo *resultMemo) ([]byte, error) {
 	dst = append(dst, `"fingerprint":`...)
 	dst = appendJSONString(dst, e.fp)
 	if e.res != nil {
 		var err error
-		if dst, err = e.res.AppendJSON(append(dst, `,"result":`...)); err != nil {
+		if dst, err = memo.appendJSON(append(dst, `,"result":`...), e.res); err != nil {
 			return dst, err
 		}
 	}
@@ -91,9 +116,9 @@ func appendElement(dst []byte, e *element) ([]byte, error) {
 }
 
 // appendSweepElement renders one SweepElement NDJSON line.
-func appendSweepElement(dst []byte, index int, e *element) ([]byte, error) {
+func appendSweepElement(dst []byte, index int, e *element, memo *resultMemo) ([]byte, error) {
 	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
-	dst, err := appendElement(append(dst, ','), e)
+	dst, err := appendElement(append(dst, ','), e, memo)
 	if err != nil {
 		return dst, err
 	}
@@ -113,7 +138,7 @@ func appendJobStatus(dst []byte, job *batchJob, state string, results []element)
 				dst = append(dst, ',')
 			}
 			var err error
-			if dst, err = appendElement(append(dst, '{'), &results[i]); err != nil {
+			if dst, err = appendElement(append(dst, '{'), &results[i], nil); err != nil {
 				return dst, err
 			}
 		}

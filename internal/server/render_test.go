@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -43,6 +46,10 @@ func floodScenario() RunRequest {
 	}
 }
 
+// partialRound is the crash round whose T = 1 sweep element the runner of
+// TestRenderedBodiesMatchEncodingJSON cuts to a partial result.
+const partialRound = 50
+
 // TestRenderedBodiesMatchEncodingJSON: every body that carries a Result —
 // /v1/run on miss and hit, each /v1/sweep line and
 // /v1/jobs/{id} running and done — is byte-identical to encoding/json's
@@ -50,7 +57,9 @@ func floodScenario() RunRequest {
 // the wire contract the packed renderer must keep.
 func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 	// The runner holds executions only once the batch below arms the
-	// gate: the sweeps run first through the same runner.
+	// gate: the sweeps run first through the same runner. It marks one
+	// element partial and keeps the Result that element shares with
+	// others, so a partial element sits inside a run of shared ones.
 	release := make(chan struct{})
 	var gated atomic.Bool
 	srv := New(Options{
@@ -58,7 +67,13 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 			if gated.Load() {
 				<-release
 			}
-			return rbcast.RunSweepJobs(jobs, o)
+			out, stats := rbcast.RunSweepJobs(jobs, o)
+			for i, j := range jobs {
+				if j.Plan.CrashRound == partialRound && j.Config.T == 1 {
+					out[i].Err = fmt.Errorf("stub: %w", rbcast.ErrDeadline)
+				}
+			}
+			return out, stats
 		},
 	})
 	ts := httptest.NewServer(srv)
@@ -127,6 +142,59 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 		t.Errorf("sweep element kinds %v, want 3 error, 2 cached, 1 fresh", kinds)
 	}
 
+	// A sweep whose elements share executions, and whose runs of shared
+	// elements are broken by every other kind. Flood ignores T, so T = 0
+	// and T = 1 share each crash round's execution, and crash rounds 40
+	// and 50 lie past the run's horizon, so they share the trunk's. T = 0
+	// repeats (duplicates), T = -1 fails, crash round 2 at T = 0 is cached
+	// by the sweep before, and the runner cuts T = 1 at crash round 50.
+	flood := SweepRequest{
+		Base: RunRequest{
+			Config: rbcast.Config{Width: 14, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
+			Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash, CrashRound: 2},
+		},
+	}
+	postJSON(t, ts, "/v1/sweep", flood) // fills the cache
+	flood.Axes = rbcast.SweepAxes{Ts: []int{-1, 0, 0, 1}, CrashRounds: []int{1, 2, 40, partialRound}}
+	resp, body = postJSON(t, ts, "/v1/sweep", flood)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	lines = bytes.SplitAfter(body, []byte("\n"))
+	lines = lines[1 : len(lines)-2] // the elements, without header, trailer and empty tail
+	kinds = map[string]int{}
+	results := make([]string, len(lines)) // each element's result member
+	for i, line := range lines {
+		var el SweepElement
+		decodeInto(t, line, &el)
+		sameAsMarshal(t, "sweep element", line, el)
+		switch {
+		case el.Partial:
+			kinds["partial"]++
+		case el.Error != "":
+			kinds["error"]++
+		case el.Cached:
+			kinds["cached"]++
+		default:
+			kinds["fresh"]++
+		}
+		if el.Result != nil {
+			results[i] = string(mustMarshal(t, el.Result))
+		}
+	}
+	if want := (map[string]int{"error": 4, "cached": 5, "fresh": 6, "partial": 1}); !reflect.DeepEqual(kinds, want) {
+		t.Errorf("sweep element kinds %v, want %v", kinds, want)
+	}
+	// The elements of one execution carry one result, wall_ns included:
+	// crash round 1's, and the trunk's that crash rounds 40 and 50 share.
+	for _, shared := range [][]int{{4, 8, 12}, {6, 7, 10, 11, 14, 15}} {
+		for _, i := range shared[1:] {
+			if results[i] != results[shared[0]] {
+				t.Errorf("elements %d and %d share an execution but carry different results", shared[0], i)
+			}
+		}
+	}
+
 	// A batch with a cached element, a within-batch duplicate, an invalid
 	// element and a traced one, read while running and once done.
 	bad := testScenario()
@@ -171,7 +239,7 @@ func TestElementRenderingEscapesLikeEncodingJSON(t *testing.T) {
 			{fp: msg, err: msg, cached: true},
 			{fp: "f", res: &packed, cached: true},
 		} {
-			line, err := appendSweepElement(nil, 7, &e)
+			line, err := appendSweepElement(nil, 7, &e, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,4 +388,88 @@ func TestSweepSimRunsCountsSimulations(t *testing.T) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 		}
 	}
+}
+
+// TestBatchSimTotalsCountEachExecutionOnce: three batch jobs that differ
+// only in T are one flood simulation (flood ignores T), so the per-run
+// totals count one run and its broadcasts once, not once per job.
+func TestBatchSimTotalsCountEachExecutionOnce(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var jobs []RunRequest
+	for _, tt := range []int{0, 1, 2} {
+		jobs = append(jobs, RunRequest{
+			Config: rbcast.Config{Width: 14, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, T: tt, Value: 1},
+		})
+	}
+	want, err := rbcast.Run(jobs[0].Config, jobs[0].Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAndWait(t, ts, jobs)
+	_, metrics := getBody(t, ts, "/metrics")
+	for _, line := range []string{
+		"rbcastd_sim_runs_total 1\n",
+		fmt.Sprintf("rbcastd_sim_broadcasts_total %d\n", want.Broadcasts),
+		fmt.Sprintf("rbcastd_sim_deliveries_total %d\n", want.Deliveries),
+	} {
+		if !strings.Contains(string(metrics), line) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(line))
+		}
+	}
+}
+
+// TestSweepElementsSharePackedResults: the elements of one execution are
+// packed once, so the cache holds one *rbcast.PackedResult per
+// simulation under all of their fingerprints. Flood ignores T, and crash
+// rounds past the run's horizon share the trunk's final state, so this
+// grid's twelve elements share three simulations.
+func TestSweepElementsSharePackedResults(t *testing.T) {
+	srv := New(Options{})
+	spec := rbcast.SweepSpec{
+		Base: rbcast.Job{
+			Config: rbcast.Config{Width: 14, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
+			Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash},
+		},
+		Axes: rbcast.SweepAxes{Ts: []int{0, 1, 2}, CrashRounds: []int{1, 2, 40, 50}},
+	}
+	jobs, err := spec.Elements()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, stats := srv.resolveJobs(nil, 0, jobs, 0, nil)
+	if stats.Simulations != 3 {
+		t.Fatalf("%d simulations, want 3 (forks at crash rounds 1 and 2, the trunk for 40 and 50)", stats.Simulations)
+	}
+	shared := make(map[*rbcast.PackedResult]int)
+	for i, el := range results {
+		res, ok := srv.cache.Get(jobs[i].Fingerprint())
+		if !ok || res != el.res {
+			t.Fatalf("element %d: cache holds %p (present %v), the response %p", i, res, ok, el.res)
+		}
+		shared[res]++
+	}
+	if len(shared) != stats.Simulations {
+		t.Errorf("%d packed results in the cache for %d simulations", len(shared), stats.Simulations)
+	}
+	// Concurrent requests render the shared results at once, each through
+	// its own memo, and every line equals its unshared rendering.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var memo resultMemo
+			for i := range results {
+				got, err := appendSweepElement(nil, i, &results[i], &memo)
+				want, werr := appendSweepElement(nil, i, &results[i], nil)
+				if err != nil || werr != nil || !bytes.Equal(got, want) {
+					t.Errorf("element %d: memo render differs (%v, %v)", i, err, werr)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

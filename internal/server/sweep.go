@@ -108,15 +108,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepScalarNodeRounds.Add(stats.ScalarNodeRounds)
 
 	// Every line is rendered into one reused buffer and flushed on its
-	// own. The stream stops at the first failed write: a client that left
+	// own, and a run of elements sharing one execution renders its result
+	// once. The stream stops at the first failed write: a client that left
 	// costs no further rendering. A line that fails to render is skipped.
 	encSp := tr.Start(root, "encode")
 	defer tr.End(encSp)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	buf := bufPool.Get().(*[]byte)
-	defer bufPool.Put(buf)
+	buf, memoBuf := bufPool.Get().(*[]byte), bufPool.Get().(*[]byte)
+	memo := resultMemo{json: *memoBuf}
+	defer func() {
+		bufPool.Put(buf)
+		*memoBuf = memo.json
+		bufPool.Put(memoBuf)
+	}()
 	writeLine := func(line []byte, err error) bool {
 		*buf = line
 		if err != nil {
@@ -134,7 +140,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i := range results {
-		if !writeLine(appendSweepElement((*buf)[:0], i, &results[i])) {
+		if !writeLine(appendSweepElement((*buf)[:0], i, &results[i], &memo)) {
 			return
 		}
 	}

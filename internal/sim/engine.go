@@ -71,6 +71,14 @@ type Config struct {
 	// ErrDeadline. Nil (or a context that is never done) costs nothing on
 	// the hot path.
 	Context context.Context
+	// Clone, when set, lets the engine Fork: it returns independent deep
+	// copies of the Factory's processes, in the same order, each evolving
+	// separately from its original. Processes cloned this way may hold a
+	// metrics.Collector but must make only record-only calls on it (never
+	// a counting one such as EvidenceEval), so that a clone sharing the
+	// parent's collector stays exact on the non-recording collectors
+	// forks require. Nil makes the engine not forkable.
+	Clone func(procs []Process) []Process
 }
 
 // Medium models the channel-quality extension of §II/§X: the paper's ideal
@@ -146,7 +154,8 @@ type Engine struct {
 	maxR       int
 	medium     Medium
 	tap        *metrics.Collector
-	rng        *rand.Rand // non-nil only for a lossy medium
+	clone      func([]Process) []Process // Config.Clone
+	rng        *rand.Rand                // non-nil only for a lossy medium
 	// decided is a word-packed bitset over node ids; decidedVal/decRound
 	// are meaningful only where the bit is set.
 	decided    topology.NodeSet
@@ -200,6 +209,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		maxR:       maxR,
 		medium:     cfg.Medium,
 		tap:        cfg.Metrics,
+		clone:      cfg.Clone,
 		decided:    topology.NewNodeSet(size),
 		decidedVal: make([]byte, size),
 		decRound:   make([]int, size),

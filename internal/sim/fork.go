@@ -7,35 +7,13 @@ import (
 	"repro/internal/topology"
 )
 
-// CloneableProcess is a Process whose full state can be duplicated, letting
-// the engine fork a running execution. Honest protocol processes implement
-// it when their state is a value snapshot (no shared mutable references
-// escape); the returned clone must evolve independently of the original.
-// A cloneable process may hold a metrics.Collector but must make only
-// record-only calls on it (never a counting one such as EvidenceEval), so
-// that a clone sharing the parent's collector stays exact on the
-// non-recording collectors forks require.
-type CloneableProcess interface {
-	Process
-	// CloneProcess returns an independent deep copy of the process.
-	CloneProcess() Process
-}
-
 // Forkable reports whether the engine supports Fork: a deterministic,
 // side-effect-free configuration (a collector that does not record, ideal
-// medium — a lossy medium consumes shared rng state) whose processes are
-// all cloneable. Callers gate sweep prefix-sharing on this; anything
+// medium — a lossy medium consumes shared rng state) built with a
+// Config.Clone. Callers gate sweep prefix-sharing on this; anything
 // non-forkable simply runs scalar.
 func (e *Engine) Forkable() bool {
-	if e.rng != nil || e.tap.Recording() {
-		return false
-	}
-	for _, p := range e.procs {
-		if _, ok := p.(CloneableProcess); !ok {
-			return false
-		}
-	}
-	return true
+	return e.clone != nil && e.rng == nil && !e.tap.Recording()
 }
 
 // Fork duplicates the engine's execution state at the current frame
@@ -62,13 +40,13 @@ func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collec
 		net:        e.net,
 		sched:      e.sched,
 		mode:       e.mode,
-		procs:      make([]Process, size),
 		order:      e.order, // immutable after NewEngine
 		outbox:     make([][]Message, size),
 		crashRound: make([]int, size),
 		maxR:       e.maxR,
 		medium:     e.medium,
 		tap:        collector,
+		clone:      e.clone,
 		decided:    e.decided.Clone(),
 		decidedVal: append([]byte(nil), e.decidedVal...),
 		decRound:   append([]int(nil), e.decRound...),
@@ -99,14 +77,20 @@ func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collec
 		}
 		f.crashRound[i] = nw
 	}
-	for i, p := range e.procs {
-		f.procs[i] = p.(CloneableProcess).CloneProcess()
+	f.procs = e.clone(e.procs)
+	// Queued messages are immutable once broadcast (see Message), so
+	// copying the queues into one arena fully detaches them. Each queue's
+	// capacity ends at its length, so a later Broadcast reallocates it
+	// instead of writing into the next queue.
+	queued := 0
+	for _, out := range e.outbox {
+		queued += len(out)
 	}
-	// Queued messages are immutable once broadcast (see Message), so a
-	// shallow per-node slice copy fully detaches the queues.
+	arena := make([]Message, queued)
 	for i, out := range e.outbox {
 		if len(out) > 0 {
-			f.outbox[i] = append([]Message(nil), out...)
+			f.outbox[i] = arena[:copy(arena, out):len(out)]
+			arena = arena[len(out):]
 		}
 	}
 	return f, nil

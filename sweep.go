@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/protocol"
+	"repro/internal/sim"
 )
 
 // MaxSweepElements bounds a single sweep expansion. The limit protects the
@@ -161,7 +162,7 @@ func RunSweep(spec SweepSpec, opts BatchOptions) ([]BatchResult, SweepStats, err
 //     is simulated once.
 //
 // Jobs that share an execution share the same Result value — treat results
-// as read-only. An execution unit — one shared execution, or one fork
+// as read-only; PackBatch packs each such value once. An execution unit — one shared execution, or one fork
 // family — is also the unit of failure: a panic fails the unit's jobs with
 // a *PanicError instead of crashing the process, and BatchOptions.Context
 // and JobTimeout cut whole units, leaving every other unit to complete.
@@ -280,12 +281,7 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 		unitCtx = obs.ContextWith(unitCtx, tr, unitSp)
 		st := &unitStats[ui]
 		if len(gs) == 1 {
-			g := gs[0]
-			job := jobs[g.indices[0]]
-			res, err := RunContext(unitCtx, job.Config, job.Plan)
-			finishGroup(results, g, res, err, st)
-			st.Simulations++
-			countRounds(st, res, err, len(g.indices), 0)
+			runGroup(unitCtx, jobs, results, gs[0], st)
 			return
 		}
 		runCrashFamily(unitCtx, jobs, gs, results, st)
@@ -307,9 +303,9 @@ var unitDispatched func(ui int)
 
 // forkEligible reports whether a job can join a wavefront-prefix fork
 // family: sequential deterministic engine on the ideal medium, untraced,
-// crash-stop faults diverging at round ≥ 1, and a protocol whose processes
-// are cloneable (sim.CloneableProcess — flood and CPA today). Everything
-// else still sweeps, just without the prefix layer.
+// crash-stop faults diverging at round ≥ 1, and a protocol whose engine
+// can clone its processes (sim.Config.Clone — flood and CPA today).
+// Everything else still sweeps, just without the prefix layer.
 func forkEligible(j Job) bool {
 	c, p := j.Config, j.Plan
 	if c.Concurrent || c.Trace || c.LossRate != 0 {
@@ -329,28 +325,28 @@ func forkEligible(j Job) bool {
 	return placement != 0 && placement != PlaceNone
 }
 
-// finishGroup assigns one execution's outcome to every element that shares
-// it, counting the sharing.
-func finishGroup(results []BatchResult, g *sweepGroup, res Result, err error, st *SweepStats) {
+// finishGroup assigns one execution's outcome to every element of g,
+// counting the sharing. br carries the execution's identity (see
+// BatchResult.exec), so every element of it shares one Result value.
+func finishGroup(results []BatchResult, g *sweepGroup, br BatchResult, st *SweepStats) {
 	for _, i := range g.indices {
-		results[i] = BatchResult{Result: res, Err: err}
+		results[i] = br
 	}
 	st.SharedResults += len(g.indices) - 1
 }
 
-// countRounds books one execution's node-rounds: the actual work skips the
-// forked-over prefix (forkedFrom rounds), the scalar-equivalent work charges
-// the full run once per element sharing it. Rejected configs (zero results)
-// book nothing.
-func countRounds(st *SweepStats, res Result, err error, elements int, forkedFrom int) {
+// runGroup executes one group on its own, from round 0, and books it.
+func runGroup(ctx context.Context, jobs []Job, results []BatchResult, g *sweepGroup, st *SweepStats) {
+	job := jobs[g.indices[0]]
+	res, err := RunContext(ctx, job.Config, job.Plan)
+	finishGroup(results, g, BatchResult{Result: res, Err: err, exec: g.indices[0] + 1}, st)
+	st.Simulations++
 	if err != nil && !errors.Is(err, ErrDeadline) {
-		return
+		return // a rejected config books no node-rounds
 	}
-	size := int64(len(res.Decisions))
-	rounds := int64(res.Rounds)
-	st.NodeRounds += (rounds - int64(forkedFrom)) * size
-	st.ScalarNodeRounds += rounds * size * int64(elements)
-	st.PrefixNodeRoundsSaved += int64(forkedFrom) * size
+	rounds := int64(res.Rounds) * int64(len(res.Decisions))
+	st.NodeRounds += rounds
+	st.ScalarNodeRounds += rounds * int64(len(g.indices))
 }
 
 // runCrashFamily executes a fork family: the trunk engine carries the
@@ -363,6 +359,11 @@ func countRounds(st *SweepStats, res Result, err error, elements int, forkedFrom
 // before a boundary, the remaining elements provably share its final state:
 // their crashes would only have silenced nodes in rounds the execution
 // never reached.
+//
+// The family's groups differ only in the crash round, so they share the
+// trunk's network, placement and crash-node set: the trunk's prepared
+// scenario assembles and scores every Result of the family, and a branch's
+// crash schedule is the trunk's faulty nodes at the branch's round.
 func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results []BatchResult, st *SweepStats) {
 	tr, unitSp := obs.SpanFromContext(ctx)
 	trunk := gs[len(gs)-1]
@@ -380,7 +381,8 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		return
 	}
 	collector := metrics.New()
-	eng, err := protocol.NewEngine(pr.runConfig(pr.params(collector), ctx))
+	rc := pr.runConfig(pr.params(collector), ctx)
+	eng, err := protocol.NewEngine(rc)
 	if err == nil && !eng.Forkable() {
 		err = errors.New("rbcast: internal: fork family engine not forkable")
 	}
@@ -388,27 +390,22 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		// Unexpected for eligible families; recover by running each group
 		// independently (still sharing within each group).
 		for _, g := range gs {
-			job := jobs[g.indices[0]]
-			res, rerr := RunContext(ctx, job.Config, job.Plan)
-			finishGroup(results, g, res, rerr, st)
-			st.Simulations++
-			countRounds(st, res, rerr, len(g.indices), 0)
+			runGroup(ctx, jobs, results, g, st)
 		}
 		return
 	}
 
 	start := time.Now()
 	size := int64(pr.net.Size())
-	// finish assembles one group's public Result from an engine outcome and
-	// fans it out to the group's elements.
-	finish := func(g *sweepGroup, gpr prepared, c *metrics.Collector, out protocol.Outcome, runErr error) {
-		wall := time.Since(start)
-		res := newResult(gpr.net, out, gpr.faulty)
-		res.Metrics = newMetrics(c.Snapshot(), wall)
+	// result assembles the BatchResult of one execution, which serves g
+	// and possibly further groups.
+	result := func(g *sweepGroup, c *metrics.Collector, run sim.Result, runErr error) BatchResult {
+		res := newResult(pr.net, protocol.Score(rc, run), pr.faulty)
+		res.Metrics = newMetrics(c.Snapshot(), time.Since(start))
 		if runErr != nil {
 			runErr = fmt.Errorf("%w: %w", ErrDeadline, runErr)
 		}
-		finishGroup(results, g, res, runErr, st)
+		return BatchResult{Result: res, Err: runErr, exec: g.indices[0] + 1}
 	}
 
 	for bi := 0; bi < len(gs)-1; bi++ {
@@ -421,22 +418,16 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 			// Termination at or before the boundary: the remaining crash
 			// rounds all lie beyond the execution's horizon (they exceed
 			// this boundary, which the run never reached), so the trunk's
-			// final state *is* each remaining element's exact result.
-			trunkRes := eng.Result()
-			rounds := int64(trunkRes.Stats.Rounds)
+			// final state *is* each remaining element's exact result. Its
+			// groups differ only in a crash round Result does not echo, so
+			// the whole tail shares one Result.
+			br := result(g, collector, eng.Result(), runErr)
+			rounds := int64(br.Result.Rounds) * size
 			st.Simulations++
-			st.NodeRounds += rounds * size
+			st.NodeRounds += rounds
 			for ri, rem := range gs[bi:] {
-				remPr, perr := prepare(jobs[rem.indices[0]].Config, jobs[rem.indices[0]].Plan)
-				if perr != nil {
-					for _, i := range rem.indices {
-						results[i].Err = perr
-					}
-					continue
-				}
-				out := protocol.Score(remPr.runConfig(remPr.params(nil), ctx), trunkRes)
-				finish(rem, remPr, collector.Clone(), out, runErr)
-				st.ScalarNodeRounds += rounds * size * int64(len(rem.indices))
+				finishGroup(results, rem, br, st)
+				st.ScalarNodeRounds += rounds * int64(len(rem.indices))
 				if ri > 0 {
 					st.SharedResults++ // the group's execution itself came from the trunk
 				}
@@ -444,17 +435,10 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 			return
 		}
 		// Fork the branch for this crash round and run it to completion.
-		fpr, perr := prepare(jobs[g.indices[0]].Config, jobs[g.indices[0]].Plan)
-		if perr != nil {
-			for _, i := range g.indices {
-				results[i].Err = perr
-			}
-			continue
-		}
 		fc := collector.Clone()
 		fsp := tr.Start(unitSp, "fork")
 		tr.AnnotateInt(fsp, "crash_round", int64(g.crash))
-		feng, ferr := eng.Fork(fpr.faulty.crash, fc)
+		feng, ferr := eng.Fork(crashSchedule(pr.faulty.faulty, g.crash), fc)
 		if ferr != nil {
 			tr.End(fsp)
 			for _, i := range g.indices {
@@ -465,8 +449,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		fres, frunErr := feng.Run()
 		tr.AnnotateInt(fsp, "rounds", int64(fres.Stats.Rounds))
 		tr.End(fsp)
-		out := protocol.Score(fpr.runConfig(fpr.params(nil), ctx), fres)
-		finish(g, fpr, fc, out, frunErr)
+		finishGroup(results, g, result(g, fc, fres, frunErr), st)
 		st.Simulations++
 		st.Forks++
 		rounds := int64(fres.Stats.Rounds)
@@ -476,8 +459,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 	}
 	// The trunk runs to completion last.
 	tres, trunErr := eng.Run()
-	out := protocol.Score(pr.runConfig(pr.params(nil), ctx), tres)
-	finish(trunk, pr, collector, out, trunErr)
+	finishGroup(results, trunk, result(trunk, collector, tres, trunErr), st)
 	st.Simulations++
 	rounds := int64(tres.Stats.Rounds)
 	st.NodeRounds += rounds * size

@@ -58,7 +58,7 @@ func requireSweepMatchesScalar(t *testing.T, name string, jobs []Job) SweepStats
 }
 
 // TestSweepCrashRoundFamilies exercises the wavefront-prefix fork layer:
-// crash-round sweeps for both cloneable protocols on all three topology
+// crash-round sweeps for both forkable protocols on all three topology
 // families must be byte-identical to scalar runs and must actually share
 // prefix work.
 func TestSweepCrashRoundFamilies(t *testing.T) {
