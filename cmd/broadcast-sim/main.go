@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,73 +23,56 @@ import (
 )
 
 func main() {
-	var (
-		width    = flag.Int("width", 16, "torus width")
-		height   = flag.Int("height", 10, "torus height")
-		radius   = flag.Int("radius", 1, "transmission radius r")
-		metric   = flag.String("metric", "linf", "distance metric: linf or l2")
-		proto    = flag.String("protocol", "bv4", "protocol: flood, cpa, bv4, bv2")
-		tBound   = flag.Int("t", -1, "per-neighborhood fault bound (default: protocol's max for r)")
-		value    = flag.Int("value", 1, "source value (0 or 1)")
-		place    = flag.String("faults", "none", "placement: none, band, checkerboard, greedy, random, percolation")
-		strategy = flag.String("strategy", "crash", "fault behaviour: crash, silent, liar, forger, spoofer")
-		prob     = flag.Float64("p", 0.2, "percolation failure probability")
-		seed     = flag.Int64("seed", 1, "seed for randomized placements")
-		conc     = flag.Bool("concurrent", false, "use the concurrent engine (parallel workers each round)")
-		drawMap  = flag.Bool("map", false, "print an ASCII decision map")
-		loss     = flag.Float64("loss", 0, "per-receiver transmission loss probability (§II extension)")
-		retx     = flag.Int("retx", 1, "blind retransmission count for the lossy medium")
-		spoof    = flag.Bool("spoofable", false, "drop the no-address-spoofing assumption (§X what-if)")
-		traceRun = flag.Bool("trace", false, "print the commit wavefront round by round (implies -lockstep)")
-		frames   = flag.Bool("frames", false, "print bordered per-round wavefront frames (implies -lockstep)")
-		traceOut = flag.String("trace-out", "", "write the structured execution trace as JSON Lines to this file (\"-\" = stdout)")
-		lockstep = flag.Bool("lockstep", false, "one-hop-per-round delivery (readable round numbers)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(os.Stderr, "broadcast-sim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	cfg := rbcast.Config{
-		Width: *width, Height: *height, Radius: *radius,
-		Value:            byte(*value),
-		Concurrent:       *conc,
-		LossRate:         *loss,
-		Retransmit:       *retx,
-		SpoofingPossible: *spoof,
-		LockStep:         *lockstep || *traceRun || *frames,
-		Trace:            *traceOut != "",
+// run parses args, runs the scenario and writes the report to stdout.
+// -metric, -protocol and -strategy take the wire names of rbcast's
+// encoding (encode.go).
+func run(args []string, stdout, stderr io.Writer) error {
+	var cfg rbcast.Config
+	var plan rbcast.FaultPlan
+	fs := flag.NewFlagSet("broadcast-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&cfg.Width, "width", 16, "torus width")
+	fs.IntVar(&cfg.Height, "height", 10, "torus height")
+	fs.IntVar(&cfg.Radius, "radius", 1, "transmission radius r")
+	fs.TextVar(&cfg.Metric, "metric", rbcast.MetricLinf, "distance metric: linf or l2")
+	fs.TextVar(&cfg.Protocol, "protocol", rbcast.ProtocolBV4, "protocol: flood, cpa, bv4, bv2, bracha, bracha-auth")
+	fs.IntVar(&cfg.T, "t", -1, "per-neighborhood fault bound (default: protocol's max for r)")
+	value := fs.Int("value", 1, "source value (0 or 1)")
+	place := fs.String("faults", "none", "placement: none, band, checkerboard, greedy, random, percolation")
+	fs.TextVar(&plan.Strategy, "strategy", rbcast.StrategyCrash, "fault behaviour: crash, silent, liar, forger, spoofer, equivocator")
+	fs.Float64Var(&plan.Probability, "p", 0.2, "percolation failure probability")
+	fs.Int64Var(&plan.Seed, "seed", 1, "seed for randomized placements")
+	fs.BoolVar(&cfg.Concurrent, "concurrent", false, "use the concurrent engine (parallel workers each round)")
+	drawMap := fs.Bool("map", false, "print an ASCII decision map")
+	fs.Float64Var(&cfg.LossRate, "loss", 0, "per-receiver transmission loss probability (§II extension)")
+	fs.IntVar(&cfg.Retransmit, "retx", 1, "blind retransmission count for the lossy medium")
+	fs.BoolVar(&cfg.SpoofingPossible, "spoofable", false, "drop the no-address-spoofing assumption (§X what-if)")
+	traceRun := fs.Bool("trace", false, "print the commit wavefront round by round (implies -lockstep)")
+	frames := fs.Bool("frames", false, "print bordered per-round wavefront frames (implies -lockstep)")
+	traceOut := fs.String("trace-out", "", "write the structured execution trace as JSON Lines to this file (\"-\" = stdout)")
+	fs.BoolVar(&cfg.LockStep, "lockstep", false, "one-hop-per-round delivery (readable round numbers)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	switch *metric {
-	case "linf":
-		cfg.Metric = rbcast.MetricLinf
-	case "l2":
-		cfg.Metric = rbcast.MetricL2
-	default:
-		fatal("unknown metric %q", *metric)
-	}
-	switch *proto {
-	case "flood":
-		cfg.Protocol = rbcast.ProtocolFlood
-	case "cpa":
-		cfg.Protocol = rbcast.ProtocolCPA
-	case "bv4":
-		cfg.Protocol = rbcast.ProtocolBV4
-	case "bv2":
-		cfg.Protocol = rbcast.ProtocolBV2
-	default:
-		fatal("unknown protocol %q", *proto)
-	}
-	cfg.T = *tBound
+	cfg.Value = byte(*value)
+	cfg.LockStep = cfg.LockStep || *traceRun || *frames
+	cfg.Trace = *traceOut != ""
 	if cfg.T < 0 {
 		switch cfg.Protocol {
 		case rbcast.ProtocolCPA:
-			cfg.T = rbcast.MaxCPALinf(*radius)
+			cfg.T = rbcast.MaxCPALinf(cfg.Radius)
 		case rbcast.ProtocolFlood:
 			cfg.T = 0
 		default:
-			cfg.T = rbcast.MaxByzantineLinf(*radius)
+			cfg.T = rbcast.MaxByzantineLinf(cfg.Radius)
 		}
 	}
-
-	plan := rbcast.FaultPlan{Seed: *seed, Probability: *prob}
 	switch *place {
 	case "none":
 		plan.Placement = rbcast.PlaceNone
@@ -102,37 +87,23 @@ func main() {
 	case "percolation":
 		plan.Placement = rbcast.PlacePercolation
 	default:
-		fatal("unknown placement %q", *place)
-	}
-	switch *strategy {
-	case "crash":
-		plan.Strategy = rbcast.StrategyCrash
-	case "silent":
-		plan.Strategy = rbcast.StrategySilent
-	case "liar":
-		plan.Strategy = rbcast.StrategyLiar
-	case "forger":
-		plan.Strategy = rbcast.StrategyForger
-	case "spoofer":
-		plan.Strategy = rbcast.StrategySpoofer
-	default:
-		fatal("unknown strategy %q", *strategy)
+		return fmt.Errorf("unknown placement %q", *place)
 	}
 
 	res, err := rbcast.Run(cfg, plan)
 	if err != nil {
-		fatal("%v", err)
+		return err
 	}
 
-	fmt.Printf("protocol=%s %dx%d r=%d t=%d faults=%d (max %d per nbd)\n",
-		cfg.Protocol, *width, *height, *radius, cfg.T, res.Faults, res.MaxFaultsPerNbd)
-	fmt.Printf("rounds=%d broadcasts=%d deliveries=%d quiesced=%v\n",
+	fmt.Fprintf(stdout, "protocol=%s %dx%d r=%d t=%d faults=%d (max %d per nbd)\n",
+		cfg.Protocol, cfg.Width, cfg.Height, cfg.Radius, cfg.T, res.Faults, res.MaxFaultsPerNbd)
+	fmt.Fprintf(stdout, "rounds=%d broadcasts=%d deliveries=%d quiesced=%v\n",
 		res.Rounds, res.Broadcasts, res.Deliveries, res.Quiesced)
-	fmt.Printf("honest=%d correct=%d wrong=%d undecided=%d → reliable broadcast: %v (safe: %v)\n",
+	fmt.Fprintf(stdout, "honest=%d correct=%d wrong=%d undecided=%d → reliable broadcast: %v (safe: %v)\n",
 		res.Honest, res.Correct, res.Wrong, res.Undecided, res.AllCorrect(), res.Safe())
 
 	if *drawMap {
-		fmt.Print(renderRound(cfg, res, -1))
+		fmt.Fprint(stdout, renderRound(cfg, res, -1))
 	}
 	if *traceRun {
 		last := 0
@@ -142,21 +113,20 @@ func main() {
 			}
 		}
 		for round := 0; round <= last; round++ {
-			fmt.Printf("round %d:\n%s\n", round, renderRound(cfg, res, round))
+			fmt.Fprintf(stdout, "round %d:\n%s\n", round, renderRound(cfg, res, round))
 		}
 	}
 	if *frames {
 		out, err := renderFrames(cfg, res)
 		if err != nil {
-			fatal("%v", err)
+			return err
 		}
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, res.Trace); err != nil {
-			fatal("%v", err)
-		}
+		return writeTrace(*traceOut, stdout, res.Trace)
 	}
+	return nil
 }
 
 // renderFrames draws the internal/trace bordered frame sequence for the
@@ -197,10 +167,11 @@ func renderFrames(cfg rbcast.Config, res rbcast.Result) (string, error) {
 	return trace.RenderAll(fs), nil
 }
 
-// writeTrace dumps the structured trace as JSON Lines.
-func writeTrace(path string, events []rbcast.TraceEvent) error {
+// writeTrace dumps the structured trace as JSON Lines to path, or to
+// stdout for "-".
+func writeTrace(path string, stdout io.Writer, events []rbcast.TraceEvent) error {
 	if path == "-" {
-		return rbcast.EncodeTrace(os.Stdout, events)
+		return rbcast.EncodeTrace(stdout, events)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -239,10 +210,4 @@ func renderRound(cfg rbcast.Config, res rbcast.Result, round int) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// fatal prints an error and exits.
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "broadcast-sim: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -21,8 +21,8 @@
 // GET /v1/jobs/{id}, GET /v1/jobs/{id}/trace, GET /v1/jobs/{id}/events,
 // GET /healthz, GET /metrics, GET /debug/requests. Pass -addr host:0
 // to bind an ephemeral port; the actual address is logged on startup
-// (msg="rbcastd listening" addr=...), which is what scripts/serve_smoke.sh
-// parses. Logs are structured (log/slog); -log-format selects text or
+// (msg="rbcastd listening" addr=...), which is how the package's tests
+// find it. Logs are structured (log/slog); -log-format selects text or
 // JSON, -log-level the threshold. -ops-addr optionally serves
 // net/http/pprof (plus /metrics, /healthz and /debug/requests) on a
 // separate operations listener so profiling never shares a port with the
@@ -35,7 +35,9 @@
 // rbcastd_phase_seconds summaries on /metrics. -slow-request logs one
 // WARN line with the per-phase breakdown for any request at or over the
 // threshold. On SIGINT/SIGTERM the daemon stops accepting work, drains
-// in-flight requests and queued batch jobs, and exits.
+// in-flight requests and queued batch jobs, and exits. main only wires
+// the signals to run, which the tests drive in-process by cancelling its
+// context instead.
 package main
 
 import (
@@ -43,6 +45,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -58,7 +61,7 @@ import (
 // newLogger builds the process logger from the -log-format/-log-level
 // flags. Unknown values are errors: a daemon silently logging at the wrong
 // level is worse than one that refuses to start.
-func newLogger(format, level string) (*slog.Logger, error) {
+func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {
 	case "debug":
@@ -75,9 +78,9 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("unknown log format %q (text, json)", format)
 	}
@@ -86,10 +89,10 @@ func newLogger(format, level string) (*slog.Logger, error) {
 // serveOps serves the operations listener: pprof under /debug/pprof/ plus
 // the daemon's /metrics and /healthz, so an operator (or a scraper) never
 // has to touch the public port.
-func serveOps(addr string, srv *server.Server, logger *slog.Logger) (*http.Server, net.Listener, error) {
+func serveOps(addr string, srv *server.Server, logger *slog.Logger) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -107,40 +110,51 @@ func serveOps(addr string, srv *server.Server, logger *slog.Logger) (*http.Serve
 		}
 	}()
 	logger.Info("rbcastd ops listening", "addr", ln.Addr())
-	return ops, ln, nil
+	return ops, nil
 }
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address (host:0 binds an ephemeral port)")
-		opsAddr     = flag.String("ops-addr", "", "optional operations listener serving net/http/pprof, /metrics and /healthz")
-		cacheSize   = flag.Int("cache", 1024, "result-cache capacity in entries")
-		workers     = flag.Int("workers", 0, "worker pool size per batch job or sweep (<=0 means GOMAXPROCS)")
-		maxJobs     = flag.Int("max-jobs", 4096, "retained batch jobs before the oldest finished are dropped")
-		queueDepth  = flag.Int("queue-depth", 1024, "batch jobs accepted but unfinished before submissions shed with 429")
-		maxInflight = flag.Int("max-inflight", 0, "concurrently executing jobs before sync runs shed with 429 (<=0 means unbounded)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "wall-clock bound per execution (a sync run, or a batch or sweep execution unit); over it the execution fails with a partial result (0 disables)")
-		flightRec   = flag.Int("flight-recorder", 256, "request timelines retained for GET /debug/requests (0 disables span tracing)")
-		slowReq     = flag.Duration("slow-request", 0, "log a WARN line with the per-phase span breakdown for requests at or over this duration (0 disables)")
-		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight work")
-		logFormat   = flag.String("log-format", "text", "log handler: text or json")
-		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
-	)
-	flag.Parse()
-
-	logger, err := newLogger(*logFormat, *logLevel)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "rbcastd: %v\n", err)
 		os.Exit(1)
 	}
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
+}
+
+// run parses args, serves until ctx is done, then stops accepting work,
+// drains in-flight requests and queued batch jobs, and returns. It logs
+// to stderr.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rbcastd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", ":8080", "listen address (host:0 binds an ephemeral port)")
+		opsAddr     = fs.String("ops-addr", "", "optional operations listener serving net/http/pprof, /metrics and /healthz")
+		cacheSize   = fs.Int("cache", 1024, "result-cache capacity in entries")
+		workers     = fs.Int("workers", 0, "worker pool size per batch job or sweep (<=0 means GOMAXPROCS)")
+		maxJobs     = fs.Int("max-jobs", 4096, "retained batch jobs before the oldest finished are dropped")
+		queueDepth  = fs.Int("queue-depth", 1024, "batch jobs accepted but unfinished before submissions shed with 429")
+		maxInflight = fs.Int("max-inflight", 0, "concurrently executing jobs before sync runs shed with 429 (<=0 means unbounded)")
+		jobTimeout  = fs.Duration("job-timeout", 0, "wall-clock bound per execution (a sync run, or a batch or sweep execution unit); over it the execution fails with a partial result (0 disables)")
+		flightRec   = fs.Int("flight-recorder", 256, "request timelines retained for GET /debug/requests (0 disables span tracing)")
+		slowReq     = fs.Duration("slow-request", 0, "log a WARN line with the per-phase span breakdown for requests at or over this duration (0 disables)")
+		drain       = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight work")
+		logFormat   = fs.String("log-format", "text", "log handler: text or json")
+		logLevel    = fs.String("log-level", "info", "log threshold: debug, info, warn or error")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	logger, err := newLogger(stderr, *logFormat, *logLevel)
+	if err != nil {
+		return err
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal("listen", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 	srv := server.New(server.Options{
 		CacheSize:      *cacheSize,
@@ -158,23 +172,19 @@ func main() {
 	logger.Info("rbcastd listening", "addr", ln.Addr())
 	var ops *http.Server
 	if *opsAddr != "" {
-		var err error
-		ops, _, err = serveOps(*opsAddr, srv, logger)
-		if err != nil {
-			fatal("ops listen", err)
+		if ops, err = serveOps(*opsAddr, srv, logger); err != nil {
+			ln.Close()
+			return fmt.Errorf("ops listen: %w", err)
 		}
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	var serveErr error
 	select {
-	case err := <-errc:
-		fatal("serve", err)
+	case serveErr = <-errc:
 	case <-ctx.Done():
 	}
-	stop()
 
 	logger.Info("rbcastd shutting down", "drain_timeout", *drain)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
@@ -188,10 +198,14 @@ func main() {
 		}
 	}
 	if err := srv.Drain(shutdownCtx); err != nil {
-		fatal("drain", err)
+		return fmt.Errorf("drain: %w", err)
 	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("serve", err)
+	if serveErr == nil {
+		serveErr = <-errc
+	}
+	if !errors.Is(serveErr, http.ErrServerClosed) {
+		return fmt.Errorf("serve: %w", serveErr)
 	}
 	logger.Info("rbcastd: drained, bye")
+	return nil
 }

@@ -14,7 +14,10 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
+// UpdateGolden is the root test binary's one regeneration flag: -update
+// rewrites every golden file and baseline under testdata from the current
+// code. It is exported for the external rbcast_test files.
+var UpdateGolden = flag.Bool("update", false, "rewrite the golden files and baselines under testdata")
 
 func TestEnumTextRoundTrip(t *testing.T) {
 	protocols := []Protocol{0, ProtocolFlood, ProtocolCPA, ProtocolBV4, ProtocolBV2, ProtocolBracha, ProtocolBrachaAuth}
@@ -581,7 +584,7 @@ func TestFingerprintGolden(t *testing.T) {
 	got := b.String()
 
 	golden := filepath.Join("testdata", "fingerprints.golden")
-	if *updateGolden {
+	if *UpdateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package rbcast_test
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -14,10 +15,24 @@ import (
 // fingerprint against testdata/results.golden, which was generated from the
 // pre-optimization seed engines. Any hot-path change that alters a single
 // byte of any Result — a reordered delivery, a different round count, a
-// flipped decision — fails here. Regenerate the golden file (cmd/gengolden)
-// only for a deliberate semantic change.
+// flipped decision — fails here. Regenerate the golden file (-update) only
+// for a deliberate semantic change, and say so in the commit message.
 func TestScenarioResultsMatchGolden(t *testing.T) {
-	want := loadGoldenFile(t, "testdata/results.golden")
+	const golden = "testdata/results.golden"
+	if *rbcast.UpdateGolden {
+		var b strings.Builder
+		for _, sc := range scenarios.Matrix() {
+			res, err := rbcast.Run(sc.Config, sc.Plan)
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			fmt.Fprintf(&b, "%s\t%s\n", sc.Name, mustHash(t, res))
+		}
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := loadGoldenFile(t, golden)
 	seen := make(map[string]bool, len(want))
 	for _, sc := range scenarios.Matrix() {
 		sc := sc
@@ -32,7 +47,7 @@ func TestScenarioResultsMatchGolden(t *testing.T) {
 			}
 			w, ok := want[sc.Name]
 			if !ok {
-				t.Fatalf("scenario missing from golden file; run `go run ./cmd/gengolden > testdata/results.golden` and review the diff")
+				t.Fatalf("scenario missing from golden file; run `go test -run TestScenarioResultsMatchGolden -update .` and review the diff")
 			}
 			if hash != w {
 				t.Errorf("result hash %s, golden %s — engine output diverged from the seed", hash, w)

@@ -191,7 +191,7 @@ func Matrix() []Scenario {
 
 // SweepGrid is one named sweep workload.
 type SweepGrid struct {
-	// Name identifies the grid in cmd/bench -sweep output.
+	// Name identifies the grid in test output.
 	Name string
 	// Spec is the grid.
 	Spec rbcast.SweepSpec
@@ -200,8 +200,8 @@ type SweepGrid struct {
 // SweepGrids returns the canonical sweep grids: crash-round sweeps whose
 // dead threshold axis and shared wavefront prefixes are what the sweep
 // engine exists to exploit, across both protocols whose engines fork.
-// cmd/bench -sweep gates them against scalar runs, and the root
-// TestSweepAllocs budgets their allocations.
+// The root TestSweepSharesOneResultPerSimulation gates them against
+// scalar runs, and TestSweepAllocs budgets their allocations.
 func SweepGrids() []SweepGrid {
 	crashRounds := make([]int, 24)
 	for i := range crashRounds {

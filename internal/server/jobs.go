@@ -333,16 +333,22 @@ func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job
 		batch, stats = s.opts.SweepRunner(missJobs, opts)
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
-		// Elements that shared an execution share one packed result, and
-		// a batch counts each execution it ran once.
+		// Elements that shared an execution share one packed result, so
+		// counting each packed result once counts each execution once: a
+		// deadline stop on either route, a completed run only for a batch
+		// (a sweep's caller counts its simulations from the stats).
 		packed := rbcast.PackBatch(batch)
-		var observed map[*rbcast.PackedResult]bool
-		if job != nil {
-			observed = make(map[*rbcast.PackedResult]bool)
-		}
+		counted := make(map[*rbcast.PackedResult]bool)
 		for k, br := range batch {
-			if s.settle(&results[missIndex[k]], br, packed[k]) && job != nil && !observed[packed[k]] {
-				observed[packed[k]] = true
+			ok := s.settle(&results[missIndex[k]], br, packed[k])
+			if packed[k] == nil || counted[packed[k]] {
+				continue
+			}
+			counted[packed[k]] = true
+			switch {
+			case errors.Is(br.Err, rbcast.ErrDeadline):
+				s.deadlineRuns.Add(1)
+			case ok && job != nil:
 				s.observe(br.Result)
 			}
 		}
@@ -372,7 +378,6 @@ func (s *Server) settle(el *element, br rbcast.BatchResult, packed *rbcast.Packe
 		var pe *rbcast.PanicError
 		switch {
 		case errors.Is(br.Err, rbcast.ErrDeadline):
-			s.deadlineRuns.Add(1)
 			el.res, el.partial = packed, true
 		case errors.As(br.Err, &pe):
 			s.panicsRecovered.Add(1)

@@ -82,7 +82,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Scenario executions stopped by the job deadline (partial results).",
 		s.deadlineRuns.Load())
 	writeCount(&b, "rbcastd_panics_recovered_total", "counter",
-		"Panicking executions isolated to their job instead of killing the daemon.",
+		"Recovered panics: a /v1/run, each /v1/batch or /v1/sweep element, or a batch job's own stitching, failed alone instead of killing the daemon.",
 		s.panicsRecovered.Load())
 
 	writeCount(&b, "rbcastd_sim_runs_total", "counter",

@@ -281,9 +281,9 @@ func TestBatchDeadlineElementIsPartialAndUncached(t *testing.T) {
 	// result and completes the rest, mimicking what rbcast.RunSweepJobs
 	// returns when one element's execution unit blows JobTimeout (the
 	// genuine article is covered by TestRunBatchJobTimeout in the root
-	// package and by scripts/load_smoke.sh end to end). This pins the
-	// server half: Partial marking, sibling isolation, the deadline
-	// counter, and the no-cache rule.
+	// package and by cmd/rbcastd's TestOverloadContract end to end). This
+	// pins the server half: Partial marking, sibling isolation, the
+	// deadline counter, and the no-cache rule.
 	calls := 0
 	srv := New(Options{
 		SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
@@ -340,6 +340,42 @@ func TestBatchDeadlineElementIsPartialAndUncached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("runner calls = %d, want 2 (partial was cached?)", calls)
+	}
+}
+
+// TestDeadlineCountsEachExecutionOnce: rbcastd_run_deadline_total counts
+// executions, not elements. Flood ignores T, so each request's three
+// elements are one execution, which a 1ns JobTimeout cuts.
+func TestDeadlineCountsEachExecutionOnce(t *testing.T) {
+	ts := httptest.NewServer(New(Options{JobTimeout: time.Nanosecond}))
+	defer ts.Close()
+
+	base := RunRequest{Config: rbcast.Config{Width: 60, Height: 60, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1}}
+	resp, body := postJSON(t, ts, "/v1/sweep", SweepRequest{Base: base, Axes: rbcast.SweepAxes{Ts: []int{0, 1, 2}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	_, elements, trailer := decodeSweepStream(t, body)
+	if trailer.Stats.Simulations != 1 {
+		t.Fatalf("%d simulations, want the 3 elements to share 1", trailer.Stats.Simulations)
+	}
+	var jobs []RunRequest
+	for i, el := range elements {
+		if !el.Partial {
+			t.Fatalf("element %d not cut by the deadline: %+v", i, el)
+		}
+		job := base
+		job.Config.T = i
+		jobs = append(jobs, job)
+	}
+	_, metrics := getBody(t, ts, "/metrics")
+	if !strings.Contains(string(metrics), "rbcastd_run_deadline_total 1\n") {
+		t.Error("a cut sweep execution shared by 3 elements did not count once")
+	}
+	submitAndWait(t, ts, jobs)
+	_, metrics = getBody(t, ts, "/metrics")
+	if !strings.Contains(string(metrics), "rbcastd_run_deadline_total 2\n") {
+		t.Error("a cut batch execution shared by 3 elements did not count once")
 	}
 }
 

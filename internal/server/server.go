@@ -100,8 +100,9 @@ type Server struct {
 	// shedQueueFull and shedBusy count requests shed with 429 because the
 	// batch queue was full / every execution slot was taken.
 	shedQueueFull, shedBusy atomic.Int64
-	// deadlineRuns counts executions stopped by the job deadline;
-	// panicsRecovered counts scenario panics isolated to their job.
+	// deadlineRuns counts executions stopped by the job deadline, once
+	// per execution however many elements share it; panicsRecovered
+	// counts scenario panics isolated to their request or element.
 	deadlineRuns, panicsRecovered atomic.Int64
 
 	// Aggregated simulation totals across every executed (non-cached)

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -120,6 +122,72 @@ func TestSweepEndpointMatchesScalarRuns(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestSweepSharesTheScalarCache: /v1/sweep and /v1/run share one cache
+// under one fingerprint. An element run first through /v1/run comes back
+// cached in the sweep with the same result bytes, and an element the sweep
+// computed is a /v1/run hit under the fingerprint the sweep streamed.
+func TestSweepSharesTheScalarCache(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	type line struct {
+		Fingerprint string          `json:"fingerprint"`
+		Result      json.RawMessage `json:"result"`
+		Cached      bool            `json:"cached"`
+	}
+	run := func(req RunRequest, cache string) line {
+		t.Helper()
+		resp, body := postJSON(t, ts, "/v1/run", req)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Rbcast-Cache") != cache {
+			t.Fatalf("/v1/run: status %d, cache %q, want %q", resp.StatusCode, resp.Header.Get("X-Rbcast-Cache"), cache)
+		}
+		var l line
+		if err := json.Unmarshal(body, &l); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+
+	base := RunRequest{
+		Config: rbcast.Config{Width: 16, Height: 12, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
+		Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash},
+	}
+	pre := base
+	pre.Config.T, pre.Plan.CrashRound = 1, 2
+	scalar := run(pre, "miss")
+	resp, body := postJSON(t, ts, "/v1/sweep", SweepRequest{Base: base, Axes: rbcast.SweepAxes{Ts: []int{0, 1}, CrashRounds: []int{1, 2, 3}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+	var elements []line
+	for _, raw := range lines[1 : len(lines)-1] {
+		var l line
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatal(err)
+		}
+		elements = append(elements, l)
+	}
+	i := slices.IndexFunc(elements, func(el line) bool { return el.Fingerprint == scalar.Fingerprint })
+	if i < 0 {
+		t.Fatalf("no sweep element has the /v1/run fingerprint %s", scalar.Fingerprint)
+	}
+	if el := elements[i]; !el.Cached || !bytes.Equal(el.Result, scalar.Result) {
+		t.Errorf("pre-run element: cached %v, same result bytes %v", el.Cached, bytes.Equal(el.Result, scalar.Result))
+	}
+
+	first := base
+	first.Plan.CrashRound = 1 // element 0: t=0, crash round 1
+	if got := run(first, "hit"); got.Fingerprint != elements[0].Fingerprint {
+		t.Errorf("/v1/run fingerprint %s, sweep element 0 %s", got.Fingerprint, elements[0].Fingerprint)
+	}
+	_, _, trailer := decodeSweepStream(t, body)
+	_, metrics := getBody(t, ts, "/metrics")
+	shared := fmt.Sprintf("\nrbcastd_sweep_shared_results_total %d\n", trailer.Stats.SharedResults)
+	if trailer.Stats.SharedResults < 2 || !bytes.Contains(metrics, []byte(shared)) {
+		t.Errorf("trailer shares %d results; /metrics must show the same, at least 2", trailer.Stats.SharedResults)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	rbcast "repro"
@@ -63,25 +64,51 @@ func TestTraceFoldsIntoMetrics(t *testing.T) {
 	}
 }
 
+// allocBaseline is testdata/bench_baseline.json: allocations per rbcast.Run
+// of every matrix scenario, measured by the toolchain Go names.
+type allocBaseline struct {
+	Go        string           `json:"go"`
+	Scenarios []scenarioAllocs `json:"scenarios"`
+}
+
+type scenarioAllocs struct {
+	Name     string `json:"name"`
+	AllocsOp int64  `json:"allocs_op"`
+}
+
 // TestAllocBaseline gates every matrix scenario's allocations per
 // rbcast.Run at its allocs_op in testdata/bench_baseline.json plus 10%.
 // Allocation counts are deterministic for a given Go version, so the gate
 // runs on every push. A scenario missing on either side fails: one the
 // baseline does not list would go ungated, so adding a scenario means
-// regenerating the baseline (make bench, see PERFORMANCE.md).
+// regenerating the baseline with -update.
 func TestAllocBaseline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	raw, err := os.ReadFile("testdata/bench_baseline.json")
+	const path = "testdata/bench_baseline.json"
+	var base allocBaseline
+	if *rbcast.UpdateGolden {
+		// The baseline is BenchmarkMatrix's allocs/op, an average over b.N
+		// runs that spreads the first run's one-time allocations; the
+		// gate's single measured run after a warm-up reads at or just
+		// below it.
+		base.Go = runtime.Version()
+		for _, sc := range scenarios.Matrix() {
+			allocs := testing.Benchmark(benchScenario(sc)).AllocsPerOp()
+			base.Scenarios = append(base.Scenarios, scenarioAllocs{sc.Name, allocs})
+		}
+		data, err := json.MarshalIndent(base, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var base struct {
-		Scenarios []struct {
-			Name     string `json:"name"`
-			AllocsOp int64  `json:"allocs_op"`
-		} `json:"scenarios"`
 	}
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatal(err)
@@ -110,5 +137,26 @@ func TestAllocBaseline(t *testing.T) {
 	}
 	for name := range budgets {
 		t.Errorf("%s: in the baseline but not in the matrix", name)
+	}
+}
+
+// BenchmarkMatrix times rbcast.Run on every matrix scenario, one
+// sub-benchmark each. It reports and gates nothing; TestAllocBaseline
+// gates the allocations.
+func BenchmarkMatrix(b *testing.B) {
+	for _, sc := range scenarios.Matrix() {
+		b.Run(sc.Name, benchScenario(sc))
+	}
+}
+
+// benchScenario benchmarks rbcast.Run on one scenario.
+func benchScenario(sc scenarios.Scenario) func(*testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := rbcast.Run(sc.Config, sc.Plan); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

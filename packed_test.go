@@ -48,7 +48,8 @@ func clip(b []byte) string {
 	return string(b)
 }
 
-// sweepGrids are the two canonical sweep grids of cmd/bench -sweep.
+// sweepGrids are the two canonical sweep grids of
+// internal/scenarios.SweepGrids, which this package's tests cannot import.
 func sweepGrids() []rbcast.SweepSpec {
 	crashRounds := make([]int, 24)
 	for i := range crashRounds {

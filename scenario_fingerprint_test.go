@@ -1,7 +1,6 @@
 package rbcast_test
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -12,26 +11,20 @@ import (
 	"repro/internal/scenarios"
 )
 
-// updateScenarioFP regenerates testdata/scenario_fingerprints.golden from
-// the current matrix. The torus entries in the committed file were captured
-// BEFORE the topology.Graph refactor, so running the matrix through this
-// test proves the refactor changed no torus fingerprint; regenerating must
-// therefore be reviewed line by line — any change to an existing line
-// silently invalidates every persistent cache keyed on Fingerprint.
-var updateScenarioFP = flag.Bool("update-scenario-fingerprints", false,
-	"rewrite testdata/scenario_fingerprints.golden from the current matrix")
-
 // TestScenarioFingerprintsStable pins Job.Fingerprint() for every canonical
 // scenario against testdata/scenario_fingerprints.golden. The torus entries
 // predate the Graph interface refactor, so this is the refactor's
 // compatibility gate: a torus scenario hashing differently means deployed
 // rbcastd caches and recorded results no longer match their keys. The
 // non-torus entries pin the new families' canonical encodings the same way.
+// -update regenerates the file from the current matrix; review the diff
+// line by line, because any change to an existing line silently
+// invalidates every persistent cache keyed on Fingerprint.
 func TestScenarioFingerprintsStable(t *testing.T) {
 	const golden = "testdata/scenario_fingerprints.golden"
 	matrix := scenarios.Matrix()
 
-	if *updateScenarioFP {
+	if *rbcast.UpdateGolden {
 		var b strings.Builder
 		for _, sc := range matrix {
 			fmt.Fprintf(&b, "%s\t%s\n", sc.Name, rbcast.Job{Config: sc.Config, Plan: sc.Plan}.Fingerprint())
@@ -47,7 +40,7 @@ func TestScenarioFingerprintsStable(t *testing.T) {
 		got := rbcast.Job{Config: sc.Config, Plan: sc.Plan}.Fingerprint()
 		w, ok := want[sc.Name]
 		if !ok {
-			t.Errorf("%s: missing from %s — append it (go test -run TestScenarioFingerprintsStable -update-scenario-fingerprints ./) and verify no existing line changed", sc.Name, golden)
+			t.Errorf("%s: missing from %s — append it (go test -run TestScenarioFingerprintsStable -update ./) and verify no existing line changed", sc.Name, golden)
 			continue
 		}
 		if got != w {

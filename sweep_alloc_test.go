@@ -12,7 +12,9 @@ import (
 // promise on the canonical sweep grids: every simulation yields one Result
 // value, which all the elements it serves share (they share its Decisions
 // map), and PackBatch packs each such value once. Every element still
-// hashes equal to its own scalar Run.
+// hashes equal to its own scalar Run, and the sweep simulates at most half
+// the node-rounds the scalar runs would (25× and 12.8× fewer today; the
+// count is deterministic).
 func TestSweepSharesOneResultPerSimulation(t *testing.T) {
 	for _, g := range scenarios.SweepGrids() {
 		jobs, err := g.Spec.Elements()
@@ -40,6 +42,9 @@ func TestSweepSharesOneResultPerSimulation(t *testing.T) {
 		}
 		if len(values) != stats.Simulations || len(packs) != stats.Simulations {
 			t.Errorf("%s: %d Result values and %d packs for %d simulations", g.Name, len(values), len(packs), stats.Simulations)
+		}
+		if ratio := float64(stats.ScalarNodeRounds) / float64(max(stats.NodeRounds, 1)); ratio < 2 {
+			t.Errorf("%s: %d node-rounds against %d for scalar runs (%.2f×), want at least 2×", g.Name, stats.NodeRounds, stats.ScalarNodeRounds, ratio)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestTraceGoldenJSONL(t *testing.T) {
 	got := buf.Bytes()
 
 	golden := filepath.Join("testdata", "trace_bv4.golden")
-	if *updateGolden {
+	if *UpdateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
