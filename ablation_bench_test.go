@@ -121,7 +121,7 @@ func benchSchedule(b *testing.B, cell bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Decided) != net.Size() {
+		if res.Commits() != net.Size() {
 			b.Fatal("flood incomplete")
 		}
 	}

@@ -151,15 +151,14 @@ func main() {
 			fatal("%v", err)
 		}
 		agree := true
-		for id := 0; id < net.Size(); id++ {
-			_, decided := out.Result.Decided[topology.NodeID(id)]
-			if pred.Committed[id] != decided {
+		for id, d := range out.Result.Decisions {
+			if pred.Committed[id] != d.Decided {
 				agree = false
 				break
 			}
 		}
 		fmt.Printf("simulation: %d commits in %d rounds — prediction %s\n",
-			len(out.Result.Decided), out.Result.Stats.Rounds,
+			out.Result.Commits(), out.Result.Stats.Rounds,
 			map[bool]string{true: "CONFIRMED", false: "DIVERGED"}[agree])
 		if !agree {
 			os.Exit(1)

@@ -1,10 +1,11 @@
 // Command broadcast-sim runs one reliable-broadcast scenario on a torus
 // radio network and prints the outcome, optionally with an ASCII map of the
-// per-node decisions ('#' committed correctly, 'X' committed wrongly,
-// '.' undecided, 'F' faulty). -frames renders the bordered per-round
-// wavefront frames; -trace-out dumps the structured execution trace as
-// JSON Lines ("-" for stdout), byte-identical to rbcastd's
-// GET /v1/jobs/{id}/trace for the same scenario.
+// per-node decisions ('S' the source, '#' committed correctly, 'X'
+// committed wrongly, '.' undecided, 'F' faulty). -trace prints the same map
+// after every round with the round's new-commit count, the commit
+// wavefront of Figs 9-10 and 14-19; -trace-out dumps the structured
+// execution trace as JSON Lines ("-" for stdout), byte-identical to
+// rbcastd's GET /v1/jobs/{id}/trace for the same scenario.
 package main
 
 import (
@@ -16,10 +17,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/grid"
-	"repro/internal/sim"
-	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -54,14 +51,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.Retransmit, "retx", 1, "blind retransmission count for the lossy medium")
 	fs.BoolVar(&cfg.SpoofingPossible, "spoofable", false, "drop the no-address-spoofing assumption (§X what-if)")
 	traceRun := fs.Bool("trace", false, "print the commit wavefront round by round (implies -lockstep)")
-	frames := fs.Bool("frames", false, "print bordered per-round wavefront frames (implies -lockstep)")
 	traceOut := fs.String("trace-out", "", "write the structured execution trace as JSON Lines to this file (\"-\" = stdout)")
 	fs.BoolVar(&cfg.LockStep, "lockstep", false, "one-hop-per-round delivery (readable round numbers)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg.Value = byte(*value)
-	cfg.LockStep = cfg.LockStep || *traceRun || *frames
+	cfg.LockStep = cfg.LockStep || *traceRun
 	cfg.Trace = *traceOut != ""
 	if cfg.T < 0 {
 		switch cfg.Protocol {
@@ -102,69 +98,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "honest=%d correct=%d wrong=%d undecided=%d → reliable broadcast: %v (safe: %v)\n",
 		res.Honest, res.Correct, res.Wrong, res.Undecided, res.AllCorrect(), res.Safe())
 
+	faulty := make(map[rbcast.Node]bool, len(res.Faulty))
+	for _, n := range res.Faulty {
+		faulty[n] = true
+	}
 	if *drawMap {
-		fmt.Fprint(stdout, renderRound(cfg, res, -1))
+		fmt.Fprint(stdout, renderRound(cfg, res, faulty, -1))
 	}
 	if *traceRun {
-		last := 0
-		for _, d := range res.Decisions {
-			if d.Decided && d.Round > last {
-				last = d.Round
+		// newCommits[k] counts the cells that turn committed in round k.
+		newCommits := []int{0}
+		for n, d := range res.Decisions {
+			if !d.Decided || faulty[n] {
+				continue
 			}
+			for len(newCommits) <= d.Round {
+				newCommits = append(newCommits, 0)
+			}
+			newCommits[d.Round]++
 		}
-		for round := 0; round <= last; round++ {
-			fmt.Fprintf(stdout, "round %d:\n%s\n", round, renderRound(cfg, res, round))
+		for round, c := range newCommits {
+			fmt.Fprintf(stdout, "round %d (+%d commits):\n%s\n", round, c, renderRound(cfg, res, faulty, round))
 		}
-	}
-	if *frames {
-		out, err := renderFrames(cfg, res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, out)
 	}
 	if *traceOut != "" {
 		return writeTrace(*traceOut, stdout, res.Trace)
 	}
 	return nil
-}
-
-// renderFrames draws the internal/trace bordered frame sequence for the
-// finished run, reconstructing the engine-level result the renderer wants
-// from the public decision map.
-func renderFrames(cfg rbcast.Config, res rbcast.Result) (string, error) {
-	m := grid.Linf
-	if cfg.Metric == rbcast.MetricL2 {
-		m = grid.L2
-	}
-	net := topology.MustNew(grid.Torus{W: cfg.Width, H: cfg.Height}, m, cfg.Radius)
-	sr := sim.Result{
-		Decided:      make(map[topology.NodeID]byte, len(res.Decisions)),
-		DecidedRound: make(map[topology.NodeID]int, len(res.Decisions)),
-	}
-	for n, d := range res.Decisions {
-		if !d.Decided {
-			continue
-		}
-		id := net.IDOf(grid.C(n.X, n.Y))
-		sr.Decided[id] = d.Value
-		sr.DecidedRound[id] = d.Round
-	}
-	faulty := make([]topology.NodeID, 0, len(res.Faulty))
-	for _, n := range res.Faulty {
-		faulty = append(faulty, net.IDOf(grid.C(n.X, n.Y)))
-	}
-	fs, err := trace.Frames(trace.Config{
-		Net:    net,
-		Result: sr,
-		Source: net.IDOf(grid.C(cfg.SourceX, cfg.SourceY)),
-		Value:  cfg.Value,
-		Faulty: faulty,
-	})
-	if err != nil {
-		return "", err
-	}
-	return trace.RenderAll(fs), nil
 }
 
 // writeTrace dumps the structured trace as JSON Lines to path, or to
@@ -185,11 +145,8 @@ func writeTrace(path string, stdout io.Writer, events []rbcast.TraceEvent) error
 }
 
 // renderRound draws the decision map as of the given round (-1 = final).
-func renderRound(cfg rbcast.Config, res rbcast.Result, round int) string {
-	faulty := make(map[rbcast.Node]bool, len(res.Faulty))
-	for _, n := range res.Faulty {
-		faulty[n] = true
-	}
+func renderRound(cfg rbcast.Config, res rbcast.Result, faulty map[rbcast.Node]bool, round int) string {
+	source := rbcast.Node{X: cfg.SourceX, Y: cfg.SourceY}
 	var b strings.Builder
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
@@ -199,6 +156,8 @@ func renderRound(cfg rbcast.Config, res rbcast.Result, round int) string {
 			switch {
 			case faulty[n]:
 				b.WriteByte('F')
+			case n == source:
+				b.WriteByte('S')
 			case !visible:
 				b.WriteByte('.')
 			case d.Value == cfg.Value:

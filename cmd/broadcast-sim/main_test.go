@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -78,5 +80,79 @@ func TestEnumFlagsTakeWireNames(t *testing.T) {
 		if err := run([]string{flag, "bogus"}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "bogus") {
 			t.Errorf("%s bogus: %v, want an error naming the value", flag, err)
 		}
+	}
+}
+
+// TestMapAndTraceRenderWavefront: flood under the Fig 8 band on a 12×6
+// torus. Every -trace frame prints the band columns (x = 3 and 9) as F and
+// the source as S and leaves the cut-off side (x = 4..8) undecided; each
+// round header counts the cells that round commits, committed cells never
+// revert, and the last frame is the -map frame.
+func TestMapAndTraceRenderWavefront(t *testing.T) {
+	const w, h = 12, 6
+	var out bytes.Buffer
+	args := []string{"-protocol", "flood", "-width", strconv.Itoa(w), "-height", strconv.Itoa(h), "-faults", "band", "-map", "-trace"}
+	if err := run(args, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out.String(), "\n")
+	if len(lines) < 3+h {
+		t.Fatalf("output too short:\n%s", out.String())
+	}
+	mapFrame := lines[3 : 3+h]
+	header := regexp.MustCompile(`^round (\d+) \(\+(\d+) commits\):$`)
+	var prev []string
+	round := 0
+	for rest := lines[3+h:]; len(rest) > 1; rest = rest[h+2:] {
+		m := header.FindStringSubmatch(rest[0])
+		if m == nil || len(rest) < h+2 || rest[h+1] != "" {
+			t.Fatalf("malformed round block at %q", rest[0])
+		}
+		if m[1] != strconv.Itoa(round) {
+			t.Fatalf("header %q, want round %d", rest[0], round)
+		}
+		frame := rest[1 : h+1]
+		added := 0
+		for y, row := range frame {
+			if len(row) != w {
+				t.Fatalf("round %d row %d is %q", round, y, row)
+			}
+			for x := 0; x < w; x++ {
+				c := row[x]
+				switch {
+				case x == 3 || x == 9:
+					if c != 'F' {
+						t.Errorf("round %d: band cell (%d,%d) is %q, want F", round, x, y, c)
+					}
+				case x == 0 && y == 0:
+					if c != 'S' {
+						t.Errorf("round %d: source cell is %q, want S", round, c)
+					}
+				case x > 3 && x < 9:
+					if c != '.' {
+						t.Errorf("round %d: cut-off cell (%d,%d) is %q, want .", round, x, y, c)
+					}
+				}
+				was := prev != nil && prev[y][x] != '.'
+				now := c != '.'
+				if was && !now {
+					t.Errorf("round %d: cell (%d,%d) reverted to .", round, x, y)
+				}
+				if now && !was && c != 'F' {
+					added++
+				}
+			}
+		}
+		if m[2] != strconv.Itoa(added) {
+			t.Errorf("header %q, but %d cells turned committed", rest[0], added)
+		}
+		prev = frame
+		round++
+	}
+	if round < 2 {
+		t.Fatalf("%d round frames, want a wavefront", round)
+	}
+	if strings.Join(prev, "\n") != strings.Join(mapFrame, "\n") {
+		t.Errorf("last round frame\n%s\ndiffers from the -map frame\n%s", strings.Join(prev, "\n"), strings.Join(mapFrame, "\n"))
 	}
 }

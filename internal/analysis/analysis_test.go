@@ -112,11 +112,10 @@ func TestFloodPredictionMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := 0; id < net.Size(); id++ {
-			_, decided := out.Result.Decided[topology.NodeID(id)]
-			if pred.Committed[id] != decided {
+		for id, d := range out.Result.Decisions {
+			if pred.Committed[id] != d.Decided {
 				t.Fatalf("seed %d node %d: predicted %v, simulated %v",
-					seed, id, pred.Committed[id], decided)
+					seed, id, pred.Committed[id], d.Decided)
 			}
 		}
 	}
@@ -146,11 +145,10 @@ func TestCPAPredictionMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := 0; id < net.Size(); id++ {
-			_, decided := out.Result.Decided[topology.NodeID(id)]
-			if pred.Committed[id] != decided {
+		for id, d := range out.Result.Decisions {
+			if pred.Committed[id] != d.Decided {
 				t.Fatalf("seed %d node %d: predicted %v, simulated %v",
-					seed, id, pred.Committed[id], decided)
+					seed, id, pred.Committed[id], d.Decided)
 			}
 		}
 	}
@@ -204,11 +202,10 @@ func TestBV4PredictionMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := 0; id < net.Size(); id++ {
-			_, decided := out.Result.Decided[topology.NodeID(id)]
-			if pred.Committed[id] != decided {
+		for id, d := range out.Result.Decisions {
+			if pred.Committed[id] != d.Decided {
 				t.Fatalf("%s node %v: predicted %v, simulated %v",
-					scenario.name, net.CoordOf(topology.NodeID(id)), pred.Committed[id], decided)
+					scenario.name, net.CoordOf(topology.NodeID(id)), pred.Committed[id], d.Decided)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/protocol"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -61,12 +62,10 @@ func runE24Analyzer() (Report, error) {
 		{"Fig 13 checkerboard", band, bounds.MinImpossibleByzantineLinf(r)},
 	}
 
-	check := func(name, scen string, pred analysis.Prediction, decided map[topology.NodeID]byte) error {
-		sim := len(decided)
+	check := func(name, scen string, pred analysis.Prediction, res sim.Result) error {
 		agree := true
-		for id := 0; id < net.Size(); id++ {
-			_, d := decided[topology.NodeID(id)]
-			if pred.Committed[id] != d {
+		for id, d := range res.Decisions {
+			if pred.Committed[id] != d.Decided {
 				agree = false
 			}
 		}
@@ -74,7 +73,7 @@ func runE24Analyzer() (Report, error) {
 			rep.Pass = false
 		}
 		rep.Rows = append(rep.Rows, []string{
-			name, scen, itoa(net.Size()), itoa(pred.Count), itoa(sim), fmt.Sprintf("%v", agree),
+			name, scen, itoa(net.Size()), itoa(pred.Count), itoa(res.Commits()), fmt.Sprintf("%v", agree),
 		})
 		return nil
 	}
@@ -93,7 +92,7 @@ func runE24Analyzer() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		if err := check("flood", sc.name, pred, out.Result.Decided); err != nil {
+		if err := check("flood", sc.name, pred, out.Result); err != nil {
 			return rep, err
 		}
 		// CPA (silent Byzantine).
@@ -109,7 +108,7 @@ func runE24Analyzer() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		if err := check("cpa", sc.name, predC, outC.Result.Decided); err != nil {
+		if err := check("cpa", sc.name, predC, outC.Result); err != nil {
 			return rep, err
 		}
 		// BV4 (silent Byzantine).
@@ -125,7 +124,7 @@ func runE24Analyzer() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		if err := check("bv4", sc.name, predB, outB.Result.Decided); err != nil {
+		if err := check("bv4", sc.name, predB, outB.Result); err != nil {
 			return rep, err
 		}
 	}

@@ -242,10 +242,12 @@ func runE23LossyMedium() (Report, error) {
 					return rep, err
 				}
 				correct, bad := 0, 0
-				for _, v := range res.Decided {
-					if v == 1 {
+				for _, d := range res.Decisions {
+					switch {
+					case !d.Decided:
+					case d.Value == 1:
 						correct++
-					} else {
+					default:
 						bad++
 					}
 				}

@@ -115,7 +115,7 @@ func runE16L2Crash() (Report, error) {
 	mid := middleOf(net, r, band)
 	stalled := 0
 	for _, id := range mid {
-		if _, ok := out.Result.Decided[id]; !ok {
+		if !out.Result.Decisions[id].Decided {
 			stalled++
 		}
 	}

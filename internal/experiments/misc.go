@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/flow"
@@ -216,16 +217,12 @@ func runE20Engines() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		decEq := len(seq.Decided) == len(conc.Decided)
-		roundsEq := true
-		for id, v := range seq.Decided {
-			if conc.Decided[id] != v {
-				decEq = false
-			}
-			if seq.DecidedRound[id] != conc.DecidedRound[id] {
-				roundsEq = false
-			}
-		}
+		decEq := slices.EqualFunc(seq.Decisions, conc.Decisions, func(a, b sim.Decision) bool {
+			return a.Decided == b.Decided && a.Value == b.Value
+		})
+		roundsEq := slices.EqualFunc(seq.Decisions, conc.Decisions, func(a, b sim.Decision) bool {
+			return a.Round == b.Round
+		})
 		statsEq := seq.Stats == conc.Stats
 		if !decEq || !roundsEq || !statsEq {
 			rep.Pass = false

@@ -170,7 +170,7 @@ func runE09Thm1Impossible() (Report, error) {
 		mid := middleOf(net, tc.r, band)
 		stalled := 0
 		for _, id := range mid {
-			if _, ok := out.Result.Decided[id]; !ok {
+			if !out.Result.Decisions[id].Decided {
 				stalled++
 			}
 		}
@@ -222,7 +222,7 @@ func runE10CrashImpossible() (Report, error) {
 		mid := middleOf(net, tc.r, band)
 		unreachable := 0
 		for _, id := range mid {
-			if _, ok := out.Result.Decided[id]; !ok {
+			if !out.Result.Decisions[id].Decided {
 				unreachable++
 			}
 		}
@@ -333,11 +333,12 @@ func runE12CPA() (Report, error) {
 				// measurable counterpart.
 				byRound := make(map[int]int)
 				lastRound := 0
-				for _, rd := range out.Result.DecidedRound {
-					byRound[rd]++
-					if rd > lastRound {
-						lastRound = rd
+				for _, d := range out.Result.Decisions {
+					if !d.Decided {
+						continue
 					}
+					byRound[d.Round]++
+					lastRound = max(lastRound, d.Round)
 				}
 				profile := ""
 				for rd := 0; rd <= lastRound && rd <= 6; rd++ {

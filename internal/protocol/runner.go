@@ -152,11 +152,10 @@ func Score(cfg RunConfig, res sim.Result) Outcome {
 			continue // crash-faulty nodes are not required to decide
 		}
 		out.Honest++
-		v, ok := res.Decided[id]
-		switch {
-		case !ok:
+		switch d := res.Decisions[id]; {
+		case !d.Decided:
 			out.Undecided++
-		case v == cfg.Params.Value:
+		case d.Value == cfg.Params.Value:
 			out.Correct++
 		default:
 			out.Wrong++

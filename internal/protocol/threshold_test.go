@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bounds"
@@ -95,7 +96,7 @@ func TestTheorem4CrashImpossibilityConstruction(t *testing.T) {
 			t.Fatal("no middle nodes — bad test geometry")
 		}
 		for _, id := range mid {
-			if _, ok := out.Result.Decided[id]; ok {
+			if out.Result.Decisions[id].Decided {
 				t.Fatalf("r=%d: middle node %v decided despite the partition", r, net.CoordOf(id))
 			}
 		}
@@ -216,7 +217,7 @@ func TestKooImpossibilityStallsBV4(t *testing.T) {
 		t.Fatal("no middle nodes")
 	}
 	for _, id := range mid {
-		if _, ok := out.Result.Decided[id]; ok {
+		if out.Result.Decisions[id].Decided {
 			t.Errorf("middle node %v decided at the impossibility bound", net.CoordOf(id))
 		}
 	}
@@ -373,10 +374,9 @@ func TestBV4ModesAgree(t *testing.T) {
 				[3]int{des.Correct, des.Wrong, des.Undecided},
 				[3]int{exa.Correct, exa.Wrong, exa.Undecided})
 		}
-		for id, v := range des.Result.Decided {
-			ev, ok := exa.Result.Decided[id]
-			if !ok || ev != v {
-				t.Errorf("seed %d node %d: designated %d, exact %v %v", seed, id, v, ev, ok)
+		for id, d := range des.Result.Decisions {
+			if e := exa.Result.Decisions[id]; e.Decided != d.Decided || e.Value != d.Value {
+				t.Errorf("seed %d node %d: designated %+v, exact %+v", seed, id, d, e)
 			}
 		}
 	}
@@ -416,13 +416,8 @@ func TestBV4ConcurrentEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Decided) != len(conc.Decided) {
-		t.Fatalf("decision counts differ: %d vs %d", len(seq.Decided), len(conc.Decided))
-	}
-	for id, v := range seq.Decided {
-		if conc.Decided[id] != v {
-			t.Errorf("node %d: %d vs %d", id, v, conc.Decided[id])
-		}
+	if !slices.Equal(seq.Decisions, conc.Decisions) {
+		t.Errorf("decisions differ:\nseq  %v\nconc %v", seq.Decisions, conc.Decisions)
 	}
 }
 

@@ -71,13 +71,10 @@ type transmission struct {
 // sim.Context handed to the node's process; its outbox keeps its capacity
 // across rounds.
 type nodeState struct {
-	id      topology.NodeID
-	round   int
-	proc    sim.Process
-	out     []sim.Message // broadcasts produced this round
-	decided bool
-	value   byte
-	decRnd  int
+	id    topology.NodeID
+	round int
+	proc  sim.Process
+	out   []sim.Message // broadcasts produced this round
 }
 
 // Self implements sim.Context.
@@ -98,12 +95,13 @@ type span struct{ lo, hi int }
 // every field between rounds; during a round the workers read the fan-out
 // fields and each touches only the node states of its own span.
 type engine struct {
-	net     topology.Graph
-	tap     *metrics.Collector
-	states  []nodeState
-	crashAt []int             // first silent round per id (noCrash = never)
-	order   []topology.NodeID // ids in transmission order (sim.SlotOrder)
-	rank    []int             // rank[id] is id's position in order
+	net       topology.Graph
+	tap       *metrics.Collector
+	states    []nodeState
+	decisions []sim.Decision    // per id; only the coordinator writes them
+	crashAt   []int             // first silent round per id (noCrash = never)
+	order     []topology.NodeID // ids in transmission order (sim.SlotOrder)
+	rank      []int             // rank[id] is id's position in order
 	// outMark holds the ranks, not the ids, of nodes with queued
 	// broadcasts, so reading it back yields transmission order.
 	outMark topology.NodeSet
@@ -204,18 +202,7 @@ func Run(cfg Config) (sim.Result, error) {
 		e.collect(round + 1)
 	}
 
-	res := sim.Result{
-		Stats:        stats,
-		Decided:      make(map[topology.NodeID]byte, len(e.states)),
-		DecidedRound: make(map[topology.NodeID]int, len(e.states)),
-	}
-	for i := range e.states {
-		if st := &e.states[i]; st.decided {
-			res.Decided[st.id] = st.value
-			res.DecidedRound[st.id] = st.decRnd
-		}
-	}
-	return res, deadlineErr
+	return sim.Result{Stats: stats, Decisions: e.decisions}, deadlineErr
 }
 
 // noCrash is the crashAt sentinel for nodes that never crash.
@@ -226,17 +213,18 @@ const noCrash = int(^uint(0) >> 1) // max int
 func newEngine(cfg Config) *engine {
 	size := cfg.Net.Size()
 	e := &engine{
-		net:     cfg.Net,
-		tap:     cfg.Metrics,
-		states:  make([]nodeState, size),
-		crashAt: make([]int, size),
-		order:   sim.SlotOrder(size, topology.BestSchedule(cfg.Net)),
-		rank:    make([]int, size),
-		outMark: topology.NewNodeSet(size),
-		active:  topology.NewNodeSet(size),
-		cnt:     make([]int, size),
-		ids:     make([]topology.NodeID, 0, size),
-		off:     make([]int, 0, size+1),
+		net:       cfg.Net,
+		tap:       cfg.Metrics,
+		states:    make([]nodeState, size),
+		decisions: make([]sim.Decision, size),
+		crashAt:   make([]int, size),
+		order:     sim.SlotOrder(size, topology.BestSchedule(cfg.Net)),
+		rank:      make([]int, size),
+		outMark:   topology.NewNodeSet(size),
+		active:    topology.NewNodeSet(size),
+		cnt:       make([]int, size),
+		ids:       make([]topology.NodeID, 0, size),
+		off:       make([]int, 0, size+1),
 	}
 	for i := range e.states {
 		id := topology.NodeID(i)
@@ -258,9 +246,9 @@ func newEngine(cfg Config) *engine {
 // for collection. Only the coordinator calls it, in id order, so commits
 // are counted deterministically.
 func (e *engine) settle(st *nodeState, round int) {
-	if !st.decided {
+	if d := &e.decisions[st.id]; !d.Decided {
 		if v, ok := st.proc.Decided(); ok {
-			st.decided, st.value, st.decRnd = true, v, round
+			*d = sim.Decision{Value: v, Decided: true, Round: round}
 			e.tap.AddCommit(round)
 		}
 	}

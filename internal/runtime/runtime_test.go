@@ -2,6 +2,7 @@ package runtime
 
 import (
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -82,12 +83,12 @@ func TestConcurrentFloodDelivers(t *testing.T) {
 	if !res.Stats.Quiesced {
 		t.Error("must quiesce")
 	}
-	if len(res.Decided) != net.Size() {
-		t.Fatalf("decided %d of %d", len(res.Decided), net.Size())
+	if len(res.Decisions) != net.Size() {
+		t.Fatalf("%d decisions for %d nodes", len(res.Decisions), net.Size())
 	}
-	for id, v := range res.Decided {
-		if v != 1 {
-			t.Errorf("node %d decided %d", id, v)
+	for id, d := range res.Decisions {
+		if !d.Decided || d.Value != 1 {
+			t.Errorf("node %d: %+v, want a commit of 1", id, d)
 		}
 	}
 }
@@ -122,16 +123,8 @@ func TestEquivalenceWithSequentialEngine(t *testing.T) {
 		if seq.Stats != conc.Stats {
 			t.Errorf("%dx%d r=%d: stats differ: seq %+v conc %+v", tc.w, tc.h, tc.r, seq.Stats, conc.Stats)
 		}
-		if len(seq.Decided) != len(conc.Decided) {
-			t.Fatalf("decided counts differ: %d vs %d", len(seq.Decided), len(conc.Decided))
-		}
-		for id, v := range seq.Decided {
-			if conc.Decided[id] != v {
-				t.Errorf("node %d: value %d vs %d", id, v, conc.Decided[id])
-			}
-			if seq.DecidedRound[id] != conc.DecidedRound[id] {
-				t.Errorf("node %d: round %d vs %d", id, seq.DecidedRound[id], conc.DecidedRound[id])
-			}
+		if !slices.Equal(seq.Decisions, conc.Decisions) {
+			t.Errorf("%dx%d r=%d: decisions differ:\nseq  %v\nconc %v", tc.w, tc.h, tc.r, seq.Decisions, conc.Decisions)
 		}
 	}
 }
@@ -147,8 +140,8 @@ func TestCrashedSourceNeverStarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Decided) != 0 {
-		t.Errorf("nothing should decide when the source is crashed, got %d", len(res.Decided))
+	if n := res.Commits(); n != 0 {
+		t.Errorf("nothing should decide when the source is crashed, got %d", n)
 	}
 	if res.Stats.Broadcasts != 0 {
 		t.Errorf("no broadcasts expected, got %d", res.Stats.Broadcasts)

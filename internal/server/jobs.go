@@ -275,9 +275,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // through Options.SweepRunner under the request's worker cap, and settles
 // every executed element. tr (nil when the flight recorder is disarmed)
 // receives the cache-scan and engine spans under parent. job is the
-// /v1/batch job, nil for a sweep: it receives live progress, and each of
-// its fresh successes feeds the per-run engine totals, which a sweep
-// feeds from the returned stats instead (API.md, "/metrics").
+// /v1/batch job, nil for a sweep: it receives live progress, and its
+// fresh successes also feed the per-run traffic totals, which a sweep
+// counts in node-rounds instead (API.md, "/metrics").
 func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job, workers int, job *batchJob) ([]element, rbcast.SweepStats) {
 	results := make([]element, len(jobs))
 	firstIndex := make(map[string]int) // fingerprint → first miss index
@@ -334,9 +334,8 @@ func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job
 		s.inflightRuns.Add(-int64(len(missJobs)))
 		tr.End(engSp)
 		// Elements that shared an execution share one packed result, so
-		// counting each packed result once counts each execution once: a
-		// deadline stop on either route, a completed run only for a batch
-		// (a sweep's caller counts its simulations from the stats).
+		// counting each packed result once counts each execution once,
+		// completed or cut by the deadline, on either route.
 		packed := rbcast.PackBatch(batch)
 		counted := make(map[*rbcast.PackedResult]bool)
 		for k, br := range batch {
@@ -350,6 +349,8 @@ func (s *Server) resolveJobs(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job
 				s.deadlineRuns.Add(1)
 			case ok && job != nil:
 				s.observe(br.Result)
+			case ok:
+				s.simRuns.Add(1)
 			}
 		}
 	}

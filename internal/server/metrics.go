@@ -86,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.panicsRecovered.Load())
 
 	writeCount(&b, "rbcastd_sim_runs_total", "counter",
-		"Scenario executions: successful /v1/run and /v1/batch runs plus the simulations each /v1/sweep ran.",
+		"Completed scenario executions: /v1/run, plus each /v1/batch or /v1/sweep execution, however many elements shared it.",
 		s.simRuns.Load())
 	writeCount(&b, "rbcastd_sim_broadcasts_total", "counter",
 		"Local broadcasts transmitted across all executed runs.", s.simBroadcasts.Load())

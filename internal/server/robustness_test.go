@@ -344,7 +344,8 @@ func TestBatchDeadlineElementIsPartialAndUncached(t *testing.T) {
 }
 
 // TestDeadlineCountsEachExecutionOnce: rbcastd_run_deadline_total counts
-// executions, not elements. Flood ignores T, so each request's three
+// executions, not elements, and a cut execution adds nothing to
+// rbcastd_sim_runs_total. Flood ignores T, so each request's three
 // elements are one execution, which a 1ns JobTimeout cuts.
 func TestDeadlineCountsEachExecutionOnce(t *testing.T) {
 	ts := httptest.NewServer(New(Options{JobTimeout: time.Nanosecond}))
@@ -372,10 +373,16 @@ func TestDeadlineCountsEachExecutionOnce(t *testing.T) {
 	if !strings.Contains(string(metrics), "rbcastd_run_deadline_total 1\n") {
 		t.Error("a cut sweep execution shared by 3 elements did not count once")
 	}
+	if !strings.Contains(string(metrics), "rbcastd_sim_runs_total 0\n") {
+		t.Error("a cut sweep execution counted as a completed simulation")
+	}
 	submitAndWait(t, ts, jobs)
 	_, metrics = getBody(t, ts, "/metrics")
 	if !strings.Contains(string(metrics), "rbcastd_run_deadline_total 2\n") {
 		t.Error("a cut batch execution shared by 3 elements did not count once")
+	}
+	if !strings.Contains(string(metrics), "rbcastd_sim_runs_total 0\n") {
+		t.Error("a cut batch execution counted as a completed simulation")
 	}
 }
 

@@ -271,7 +271,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.shedBusy.Add(1)
 			writeShed(w, err)
 		case errors.Is(err, rbcast.ErrDeadline):
-			s.deadlineRuns.Add(1)
 			writeError(w, http.StatusGatewayTimeout, err)
 		case errors.As(err, &pe):
 			writeError(w, http.StatusInternalServerError, err)
@@ -334,8 +333,11 @@ func (s *Server) executeOne(tr *obs.Trace, parent obs.SpanID, cfg rbcast.Config,
 	res, err = s.opts.Runner(obs.ContextWith(ctx, tr, engSp), cfg, plan)
 	tr.AnnotateInt(engSp, "rounds", int64(res.Rounds))
 	tr.End(engSp)
-	if err == nil {
+	switch {
+	case err == nil:
 		s.observe(res)
+	case errors.Is(err, rbcast.ErrDeadline):
+		s.deadlineRuns.Add(1)
 	}
 	return res, err
 }

@@ -160,6 +160,61 @@ func TestConcurrentIdenticalRunsSingleFlight(t *testing.T) {
 	}
 }
 
+// TestSingleFlightDeadlineCountsOnce: three identical /v1/run requests
+// that coalesce onto one execution the job deadline cuts each get a 504,
+// and rbcastd_run_deadline_total counts the one execution once.
+func TestSingleFlightDeadlineCountsOnce(t *testing.T) {
+	var executions atomic.Int32
+	release := make(chan struct{})
+	srv := New(Options{
+		Runner: func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (rbcast.Result, error) {
+			executions.Add(1)
+			<-release
+			return rbcast.Result{}, fmt.Errorf("%w: cut for the test", rbcast.ErrDeadline)
+		},
+	})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const requests = 3
+	body, err := json.Marshal(testScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Errorf("request %d: status %d, want 504", i, resp.StatusCode)
+			}
+		}(i)
+	}
+	// The first request executes; the other two join its flight, which
+	// the cache counts as hits.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.cache.Stats().Hits < requests-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+
+	if got := executions.Load(); got != 1 {
+		t.Errorf("runner executed %d times, want 1", got)
+	}
+	_, metrics := getBody(t, ts, "/metrics")
+	if !strings.Contains(string(metrics), "rbcastd_run_deadline_total 1\n") {
+		t.Errorf("one cut execution shared by %d requests must count once:\n%s", requests, metrics)
+	}
+}
+
 func TestRunEndpointRejectsInvalidScenario(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)

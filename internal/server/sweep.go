@@ -97,10 +97,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results, stats := s.resolveJobs(tr, root, elements, req.Workers, nil)
-	// Elements share executions by execution key, so the sweep feeds
-	// rbcastd_sim_runs_total with the simulations it actually ran; its
-	// work is counted in node-rounds, not in the per-run traffic totals.
-	s.simRuns.Add(int64(stats.Simulations))
 	s.sweepsRun.Add(1)
 	s.sweepElements.Add(int64(len(elements)))
 	s.sweepSharedResults.Add(int64(stats.SharedResults))

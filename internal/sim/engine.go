@@ -120,14 +120,34 @@ type Stats struct {
 	Quiesced bool
 }
 
+// Decision is one node's outcome. Value and Round are zero while
+// Decided is false.
+type Decision struct {
+	// Value is the committed value.
+	Value byte
+	// Decided reports whether the node committed.
+	Decided bool
+	// Round is the frame in which the decision was first observed (after
+	// the node's deliveries of that frame; 0 = at Init).
+	Round int
+}
+
 // Result is the outcome of an engine run.
 type Result struct {
 	Stats Stats
-	// Decided maps node id to committed value for nodes that decided.
-	Decided map[topology.NodeID]byte
-	// DecidedRound records the frame in which each decision was first
-	// observed (after the node's deliveries of that frame).
-	DecidedRound map[topology.NodeID]int
+	// Decisions is indexed by node id and covers every node.
+	Decisions []Decision
+}
+
+// Commits returns the number of nodes that decided.
+func (r Result) Commits() int {
+	n := 0
+	for _, d := range r.Decisions {
+		if d.Decided {
+			n++
+		}
+	}
+	return n
 }
 
 // noCrash is the crashRound sentinel for nodes that never crash.
@@ -156,13 +176,8 @@ type Engine struct {
 	tap        *metrics.Collector
 	clone      func([]Process) []Process // Config.Clone
 	rng        *rand.Rand                // non-nil only for a lossy medium
-	// decided is a word-packed bitset over node ids; decidedVal/decRound
-	// are meaningful only where the bit is set.
-	decided    topology.NodeSet
-	decidedVal []byte
-	decRound   []int
-	nDecided   int
-	ctx        nodeCtx // reused Context; fields are set before each call
+	decisions  []Decision                // indexed by node id
+	ctx        nodeCtx                   // reused Context; fields are set before each call
 	stats      Stats
 	// runCtx is Config.Context; done is its Done channel, hoisted so the
 	// per-frame check is a single nil test plus a non-blocking select.
@@ -210,9 +225,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		medium:     cfg.Medium,
 		tap:        cfg.Metrics,
 		clone:      cfg.Clone,
-		decided:    topology.NewNodeSet(size),
-		decidedVal: make([]byte, size),
-		decRound:   make([]int, size),
+		decisions:  make([]Decision, size),
 	}
 	e.ctx.engine = e
 	if cfg.Context != nil {
@@ -289,14 +302,12 @@ func (e *Engine) isCrashed(id topology.NodeID, round int) bool {
 
 // noteDecision records and counts a first-time decision.
 func (e *Engine) noteDecision(round int, id topology.NodeID) {
-	if e.decided.Has(id) {
+	d := &e.decisions[id]
+	if d.Decided {
 		return
 	}
 	if v, ok := e.procs[id].Decided(); ok {
-		e.decided.Add(id)
-		e.decidedVal[id] = v
-		e.decRound[id] = round
-		e.nDecided++
+		*d = Decision{Value: v, Decided: true, Round: round}
 		e.tap.AddCommit(round)
 	}
 }
@@ -393,13 +404,7 @@ func (e *Engine) expired() bool {
 
 // result snapshots decisions and stats.
 func (e *Engine) result() Result {
-	dec := make(map[topology.NodeID]byte, e.nDecided)
-	rounds := make(map[topology.NodeID]int, e.nDecided)
-	e.decided.ForEach(func(id topology.NodeID) {
-		dec[id] = e.decidedVal[id]
-		rounds[id] = e.decRound[id]
-	})
-	return Result{Stats: e.stats, Decided: dec, DecidedRound: rounds}
+	return Result{Stats: e.stats, Decisions: slices.Clone(e.decisions)}
 }
 
 // nodeCtx is the per-delivery Context implementation.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -79,12 +80,12 @@ func TestFloodReachesEveryNode(t *testing.T) {
 	if !res.Stats.Quiesced {
 		t.Error("flood must quiesce")
 	}
-	if len(res.Decided) != net.Size() {
-		t.Fatalf("decided %d of %d nodes", len(res.Decided), net.Size())
+	if len(res.Decisions) != net.Size() {
+		t.Fatalf("%d decisions for %d nodes", len(res.Decisions), net.Size())
 	}
-	for id, v := range res.Decided {
-		if v != 1 {
-			t.Errorf("node %d decided %d, want 1", id, v)
+	for id, d := range res.Decisions {
+		if !d.Decided || d.Value != 1 {
+			t.Errorf("node %d: %+v, want a commit of 1", id, d)
 		}
 	}
 	// Every node relays exactly once: broadcasts == node count.
@@ -105,11 +106,11 @@ func TestFloodRoundsMatchEccentricity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.DecidedRound[far] < 1 {
-		t.Errorf("far node decided in round %d, want ≥ 1", res.DecidedRound[far])
+	if d := res.Decisions[far]; !d.Decided || d.Round < 1 {
+		t.Errorf("far node: %+v, want a decision in round ≥ 1", d)
 	}
-	if res.DecidedRound[source] != 0 {
-		t.Errorf("source decided in round %d, want 0 (at Init)", res.DecidedRound[source])
+	if d := res.Decisions[source]; !d.Decided || d.Round != 0 {
+		t.Errorf("source: %+v, want a decision in round 0 (at Init)", d)
 	}
 }
 
@@ -125,11 +126,11 @@ func TestCrashedFromStartNeverActs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, ok := res.Decided[crashed]; ok {
+	if res.Decisions[crashed].Decided {
 		t.Error("a node crashed from the start must not decide")
 	}
-	if len(res.Decided) != net.Size()-1 {
-		t.Errorf("decided %d, want %d", len(res.Decided), net.Size()-1)
+	if n := res.Commits(); n != net.Size()-1 {
+		t.Errorf("decided %d, want %d", n, net.Size()-1)
 	}
 }
 
@@ -153,7 +154,7 @@ func TestCrashIsolatesWhenCut(t *testing.T) {
 	// Nodes with 4 ≤ x ≤ 6 are cut off.
 	for y := 0; y < 5; y++ {
 		for x := 4; x <= 6; x++ {
-			if _, ok := res.Decided[net.IDOf(grid.C(x, y))]; ok {
+			if res.Decisions[net.IDOf(grid.C(x, y))].Decided {
 				t.Errorf("node (%d,%d) behind the cut must not decide", x, y)
 			}
 		}
@@ -161,7 +162,7 @@ func TestCrashIsolatesWhenCut(t *testing.T) {
 	// Nodes on the near side all decide.
 	for y := 0; y < 5; y++ {
 		for _, x := range []int{0, 1, 2, 8} {
-			if _, ok := res.Decided[net.IDOf(grid.C(x, y))]; !ok {
+			if !res.Decisions[net.IDOf(grid.C(x, y))].Decided {
 				t.Errorf("node (%d,%d) on source side must decide", x, y)
 			}
 		}
@@ -182,8 +183,8 @@ func TestLateCrashStillRelays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Decided) != net.Size() {
-		t.Errorf("decided %d, want all %d", len(res.Decided), net.Size())
+	if n := res.Commits(); n != net.Size() {
+		t.Errorf("decided %d, want all %d", n, net.Size())
 	}
 }
 
@@ -231,11 +232,14 @@ func TestObserverSeesEvents(t *testing.T) {
 	}
 	rows := tap.Snapshot().PerRound
 	commits := make([]int64, len(rows))
-	for _, r := range res.DecidedRound {
-		if r >= len(commits) {
-			t.Fatalf("a decision in round %d lies beyond the collector's %d rows", r, len(rows))
+	for _, d := range res.Decisions {
+		if !d.Decided {
+			continue
 		}
-		commits[r]++
+		if d.Round >= len(commits) {
+			t.Fatalf("a decision in round %d lies beyond the collector's %d rows", d.Round, len(rows))
+		}
+		commits[d.Round]++
 	}
 	var broadcasts, deliveries int64
 	for r, row := range rows {
@@ -251,8 +255,8 @@ func TestObserverSeesEvents(t *testing.T) {
 	if deliveries != int64(res.Stats.Deliveries) {
 		t.Errorf("collector saw %d deliveries, stats say %d", deliveries, res.Stats.Deliveries)
 	}
-	if len(res.Decided) != 81 {
-		t.Errorf("%d of 81 nodes decided", len(res.Decided))
+	if n := res.Commits(); n != 81 {
+		t.Errorf("%d of 81 nodes decided", n)
 	}
 }
 
@@ -270,10 +274,8 @@ func TestDeterminism(t *testing.T) {
 	if a.Stats != b.Stats {
 		t.Errorf("stats differ: %+v vs %+v", a.Stats, b.Stats)
 	}
-	for id, r := range a.DecidedRound {
-		if b.DecidedRound[id] != r {
-			t.Errorf("node %d decided round %d vs %d", id, r, b.DecidedRound[id])
-		}
+	if !slices.Equal(a.Decisions, b.Decisions) {
+		t.Error("decisions differ between identical runs")
 	}
 }
 

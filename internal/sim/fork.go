@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/topology"
@@ -47,10 +48,7 @@ func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collec
 		medium:     e.medium,
 		tap:        collector,
 		clone:      e.clone,
-		decided:    e.decided.Clone(),
-		decidedVal: append([]byte(nil), e.decidedVal...),
-		decRound:   append([]int(nil), e.decRound...),
-		nDecided:   e.nDecided,
+		decisions:  slices.Clone(e.decisions),
 		stats:      e.stats,
 		runCtx:     e.runCtx,
 		done:       e.done,

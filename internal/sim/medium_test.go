@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -39,7 +40,7 @@ func TestIdealMediumUnchanged(t *testing.T) {
 	if retx.Stats.Broadcasts != 3*base.Stats.Broadcasts {
 		t.Errorf("broadcast count %d, want 3×%d", retx.Stats.Broadcasts, base.Stats.Broadcasts)
 	}
-	if len(retx.Decided) != len(base.Decided) {
+	if !slices.Equal(retx.Decisions, base.Decisions) {
 		t.Error("decisions changed on a lossless channel")
 	}
 }
@@ -104,7 +105,7 @@ func TestRetransmissionRestoresDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		counts = append(counts, len(res.Decided))
+		counts = append(counts, res.Commits())
 	}
 	if counts[2] != net.Size() {
 		t.Errorf("10 retransmissions at 80%% loss delivered to %d/%d", counts[2], net.Size())

@@ -168,14 +168,9 @@ func newResult(g topology.Graph, out protocol.Outcome, m materialized) Result {
 			res.Faulty[i] = Node{X: x, Y: y}
 		}
 	}
-	for i := 0; i < g.Size(); i++ {
-		id := topology.NodeID(i)
-		x, y := g.Label(id)
-		d := Decision{}
-		if v, ok := out.Result.Decided[id]; ok {
-			d = Decision{Value: v, Decided: true, Round: out.Result.DecidedRound[id]}
-		}
-		res.Decisions[Node{X: x, Y: y}] = d
+	for i, d := range out.Result.Decisions {
+		x, y := g.Label(topology.NodeID(i))
+		res.Decisions[Node{X: x, Y: y}] = Decision(d)
 	}
 	return res
 }

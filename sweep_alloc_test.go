@@ -64,8 +64,8 @@ func mustHash(t *testing.T, res rbcast.Result) string {
 // fork cloning one process at a time, costs thousands more: the calls
 // allocated 4,650 and 7,095 times that way.
 var sweepAllocs = map[string]float64{
-	"flood/40x30": 1545,
-	"cpa/32x24":   1106,
+	"flood/40x30": 1509,
+	"cpa/32x24":   1070,
 }
 
 // TestSweepAllocs gates the sweep executor's allocations, which are
