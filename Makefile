@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: verify ci build vet test bench-module race engine-cpus fuzz-store experiments cover bench bench-serve
+.PHONY: verify ci build vet test bench-module race engine-cpus fuzz-store fuzz-fingerprint experiments cover bench bench-serve
 
 # ci is the gate .github/workflows/ci.yml runs on every push and pull
-# request: build vet test bench-module race engine-cpus fuzz-store. That
-# is tier-1 (build + test) plus vet, vet and tests of the bench/ module,
-# the race detector across every package, the engine equivalence tests at
-# 1, 2, 4 and 8 CPUs (engine-cpus) and a 10 s fuzz of the evidence store
-# against its reference model (fuzz-store). Every other gate is a Go test
+# request: build vet test bench-module race engine-cpus fuzz-store
+# fuzz-fingerprint. That is tier-1 (build + test) plus vet, vet and tests
+# of the bench/ module, the race detector across every package, the
+# engine equivalence tests at 1, 2, 4 and 8 CPUs (engine-cpus), a 10 s
+# fuzz of the evidence store against its reference model (fuzz-store) and
+# a 10 s fuzz of the job fingerprint and its encoders (fuzz-fingerprint).
+# Every other gate is a Go test
 # that `test` and `race` run: the result golden over the scenario matrix
 # (TestScenarioResultsMatchGolden), the allocation gate
 # (TestAllocBaseline), the sweep's node-round gate
@@ -15,7 +17,7 @@ GO ?= go
 # contracts, which cmd/rbcastd and cmd/broadcast-sim test in-process. The
 # benchmarks and bench-serve stay out: they need a quiet machine and run
 # in the nightly workflow instead.
-ci: build vet test bench-module race engine-cpus fuzz-store
+ci: build vet test bench-module race engine-cpus fuzz-store fuzz-fingerprint
 
 # verify is the full pre-merge gate; it is exactly what CI runs.
 verify: ci
@@ -55,6 +57,18 @@ engine-cpus:
 # nightly fuzz job runs it again with the other fuzz targets.
 fuzz-store:
 	$(GO) test -run '^$$' -fuzz '^FuzzStore$$' -fuzztime 10s ./internal/evidence
+
+# fuzz-fingerprint fuzzes the wire surface's identity for 10 s
+# (FuzzJobFingerprint): a strictly decoded job keeps its fingerprint
+# through a JSON round trip and every alias swap, and its append-built
+# canonical bytes and struct execution key agree with the fmt-rendered
+# references in canonical_ref_test.go. The fingerprint keys the result
+# cache, and its encoder is written by hand. Minimizing a new interesting
+# input may run up to a minute by default, adding no execs meanwhile: two
+# of three 10 s runs had intervals at 0 execs/s. 100 executions per
+# minimization keep the budget on new inputs.
+fuzz-fingerprint:
+	$(GO) test -run '^$$' -fuzz '^FuzzJobFingerprint$$' -fuzztime 10s -fuzzminimizetime 100x .
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -12,19 +12,20 @@ package rbcast
 //     encoded — defaults stay implicit, as in Go code.
 //
 //   - The fingerprint is *canonical*: documented zero-value aliases
-//     (Metric 0 ≡ MetricLinf, Placement 0 ≡ PlaceNone, Strategy 0 ≡
-//     StrategyCrash, Retransmit < 1 ≡ 1, float -0 ≡ 0) are normalized
+//     (Metric 0 ≡ MetricLinf on the torus, Placement 0 ≡ PlaceNone,
+//     Strategy 0 ≡ StrategyCrash, Retransmit 0 ≡ 1, float -0 ≡ 0) are normalized
 //     before hashing, so two spellings of the same scenario share one
 //     cache entry.
 
 import (
 	"bufio"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -317,25 +318,36 @@ const fingerprintVersion = "rbcast/fp/v1"
 // single-flight deduplication.
 //
 // Scenarios that differ only in a documented zero-value alias (Metric 0 vs
-// MetricLinf, Placement 0 vs PlaceNone, Strategy 0 vs StrategyCrash,
-// Retransmit 0 vs 1, a float field's -0 vs 0) fingerprint identically;
-// any semantic field change yields a different fingerprint. Invalid enum
-// values still fingerprint (via their numeric fallback spelling) —
-// validation is Run's job, not the hash's.
+// MetricLinf on the torus, Placement 0 vs PlaceNone, Strategy 0 vs
+// StrategyCrash, Retransmit 0 vs 1, a float field's -0 vs 0) fingerprint
+// identically;
+// any semantic field change yields a different fingerprint. Invalid jobs
+// still fingerprint (an invalid enum via its numeric fallback spelling) —
+// validation is Run's job, not the hash's — but never as a valid job does.
 func (j Job) Fingerprint() string {
-	sum := sha256.Sum256(j.canonical())
-	return hex.EncodeToString(sum[:])
+	var buf [512]byte
+	sum := sha256.Sum256(j.appendCanonical(buf[:0]))
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], sum[:])
+	return string(text[:])
 }
 
-// canonical renders the versioned serialization Fingerprint hashes. Fields
-// appear in fixed order under fixed names; floats use the exact hex form so
-// no two distinct values collide and no formatting mode drifts.
-func (j Job) canonical() []byte {
+// aliased resolves the documented zero-value aliases that Fingerprint and
+// executionKey treat as one spelling: Topology 0 ≡ TopologyTorus, Metric
+// 0 ≡ MetricLinf on the torus, Retransmit 0 ≡ 1, Placement 0 ≡ PlaceNone
+// and Strategy 0 ≡ StrategyCrash. A float's -0 needs no alias here: it
+// compares equal to 0, and appendFloat renders it as 0. A negative
+// Retransmit, or a Metric on another family, is not an alias but a job
+// validation rejects, so it keeps its own spelling.
+func (j Job) aliased() (Config, FaultPlan) {
 	c, p := j.Config, j.Plan
-	if c.Metric == 0 {
+	if c.Topology == 0 {
+		c.Topology = TopologyTorus
+	}
+	if c.Metric == 0 && c.Topology == TopologyTorus {
 		c.Metric = MetricLinf
 	}
-	if c.Retransmit < 1 {
+	if c.Retransmit == 0 {
 		c.Retransmit = 1
 	}
 	if p.Placement == 0 {
@@ -344,52 +356,143 @@ func (j Job) canonical() []byte {
 	if p.Strategy == 0 {
 		p.Strategy = StrategyCrash
 	}
-	var b strings.Builder
-	b.WriteString(fingerprintVersion)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b,
-		"config:width=%d;height=%d;radius=%d;metric=%s;protocol=%s;t=%d;value=%d;source_x=%d;source_y=%d;max_rounds=%d;concurrent=%t;exact_evidence=%t;loss_rate=%s;retransmit=%d;medium_seed=%d;spoofing_possible=%t;lock_step=%t\n",
-		c.Width, c.Height, c.Radius, c.Metric, c.Protocol, c.T, c.Value,
-		c.SourceX, c.SourceY, c.MaxRounds, c.Concurrent, c.ExactEvidence,
-		canonicalFloat(c.LossRate), c.Retransmit, c.MediumSeed,
-		c.SpoofingPossible, c.LockStep)
-	fmt.Fprintf(&b,
-		"plan:placement=%s;strategy=%s;budget=%d;count=%d;probability=%s;crash_round=%d;seed=%d\n",
-		p.Placement, p.Strategy, p.Budget, p.Count,
-		canonicalFloat(p.Probability), p.CrashRound, p.Seed)
+	return c, p
+}
+
+// appendCanonical appends the versioned serialization Fingerprint hashes.
+// Fields appear in fixed order under fixed names, each "key=value" pair
+// appended by one helper whose key carries its separator.
+func (j Job) appendCanonical(b []byte) []byte {
+	c, p := j.aliased()
+	b = append(b, fingerprintVersion+"\n"...)
+	b = appendInt(b, "config:width=", c.Width)
+	b = appendInt(b, ";height=", c.Height)
+	b = appendInt(b, ";radius=", c.Radius)
+	metric := c.Metric
+	if metric == 0 {
+		metric = MetricLinf // how fp/v1 spells another family's unset Metric
+	}
+	b = appendString(b, ";metric=", metric.String())
+	b = appendString(b, ";protocol=", c.Protocol.String())
+	b = appendInt(b, ";t=", c.T)
+	b = appendInt(b, ";value=", c.Value)
+	b = appendInt(b, ";source_x=", c.SourceX)
+	b = appendInt(b, ";source_y=", c.SourceY)
+	b = appendInt(b, ";max_rounds=", c.MaxRounds)
+	b = appendBool(b, ";concurrent=", c.Concurrent)
+	b = appendBool(b, ";exact_evidence=", c.ExactEvidence)
+	b = appendFloat(b, ";loss_rate=", c.LossRate)
+	b = appendInt(b, ";retransmit=", c.Retransmit)
+	b = appendInt(b, ";medium_seed=", c.MediumSeed)
+	b = appendBool(b, ";spoofing_possible=", c.SpoofingPossible)
+	b = appendBool(b, ";lock_step=", c.LockStep)
+	b = append(b, '\n')
+	b = appendString(b, "plan:placement=", p.Placement.String())
+	b = appendString(b, ";strategy=", p.Strategy.String())
+	b = appendInt(b, ";budget=", p.Budget)
+	b = appendInt(b, ";count=", p.Count)
+	b = appendFloat(b, ";probability=", p.Probability)
+	b = appendInt(b, ";crash_round=", p.CrashRound)
+	b = appendInt(b, ";seed=", p.Seed)
+	b = append(b, '\n')
 	// Trace joined the Config after fp/v1 shipped; a conditional trailer
 	// keeps every pre-existing (untraced) scenario's fingerprint stable
 	// while still separating traced results (which carry Result.Trace)
 	// from untraced ones in caches.
 	if c.Trace {
-		b.WriteString("trace:enabled\n")
+		b = append(b, "trace:enabled\n"...)
 	}
 	// Topology families joined after fp/v1 shipped and follow the same
-	// conditional-trailer discipline: torus scenarios (Topology zero or
-	// TopologyTorus — a documented alias) emit nothing, so every
-	// pre-family fingerprint is stable, while the non-torus families hash
-	// their defining parameters. Custom graphs hash a canonical edge list
-	// (endpoints low-first, lexicographically sorted) so any spelling of
-	// the same graph shares a cache entry.
-	if c.Topology != 0 && c.Topology != TopologyTorus {
-		fmt.Fprintf(&b, "topology:family=%s;nodes=%d;rgg_radius=%s;topology_seed=%d;source=%d\n",
-			c.Topology, c.Nodes, canonicalFloat(c.RGGRadius), c.TopologySeed, c.Source)
+	// conditional-trailer discipline: a valid torus scenario emits
+	// nothing, so every pre-family fingerprint is stable, while the
+	// non-torus families hash their defining parameters. A torus job that
+	// sets one of those parameters is one validation rejects, and it
+	// emits the trailer too, so it never shares a valid job's
+	// fingerprint; so is another family's job that sets Metric, whose
+	// trailer names it. Custom graphs hash a canonical edge list (see
+	// appendGraph), so any spelling of the same graph shares a cache entry.
+	if c.Topology != TopologyTorus || c.Nodes != 0 || c.RGGRadius != 0 || c.TopologySeed != 0 || c.Source != 0 || c.Graph != nil {
+		b = appendString(b, "topology:family=", c.Topology.String())
+		b = appendInt(b, ";nodes=", c.Nodes)
+		b = appendFloat(b, ";rgg_radius=", c.RGGRadius)
+		b = appendInt(b, ";topology_seed=", c.TopologySeed)
+		b = appendInt(b, ";source=", c.Source)
+		if c.Topology != TopologyTorus && c.Metric != 0 {
+			b = appendString(b, ";metric=", c.Metric.String())
+		}
+		b = append(b, '\n')
 		if c.Graph != nil {
-			fmt.Fprintf(&b, "graph:nodes=%d;edges=%s\n", c.Graph.Nodes, canonicalEdges(c.Graph.Edges))
+			b = appendGraph(b, c.Graph)
 		}
 	}
-	return []byte(b.String())
+	return b
 }
 
-// executionKeyVersion prefixes execution keys; bump it whenever the
-// normalization rules below change.
-const executionKeyVersion = "rbcast/exec/v1"
+// appendInt appends key and v in decimal.
+func appendInt[T ~int | ~int64 | ~uint8](b []byte, key string, v T) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendString appends key and s.
+func appendString(b []byte, key, s string) []byte {
+	return append(append(b, key...), s...)
+}
+
+// appendBool appends key and "true" or "false".
+func appendBool(b []byte, key string, v bool) []byte {
+	return strconv.AppendBool(append(b, key...), v)
+}
+
+// appendFloat appends key and f exactly (hexadecimal mantissa/exponent),
+// immune to decimal rounding differences. -0 renders as 0: the float
+// fields are only ever compared, and -0 == 0, so the two run identically.
+func appendFloat(b []byte, key string, f float64) []byte {
+	if f == 0 {
+		f = 0 // drops the sign of -0
+	}
+	return strconv.AppendFloat(append(b, key...), f, 'x', -1, 64)
+}
+
+// appendGraph appends a custom graph's canonical line: its node count and
+// its undirected edges, each low endpoint first, sorted, rendered
+// "a-b,c-d".
+func appendGraph(b []byte, g *GraphSpec) []byte {
+	edges := make([][2]int, len(g.Edges))
+	for i, e := range g.Edges {
+		edges[i] = [2]int{min(e[0], e[1]), max(e[0], e[1])}
+	}
+	slices.SortFunc(edges, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	b = appendInt(b, "graph:nodes=", g.Nodes)
+	b = append(b, ";edges="...)
+	for i, e := range edges {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(e[0]), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(e[1]), 10)
+	}
+	return append(b, '\n')
+}
+
+// execKey is a job's execution identity (see executionKey): the aliased
+// Config and FaultPlan with their dead parameters erased, and a custom
+// graph replaced by its graphIDs identity. It is comparable, so the sweep
+// engine groups jobs by it with no rendering; it never leaves the process.
+type execKey struct {
+	config Config // Graph is always nil; graph identifies it
+	plan   FaultPlan
+	graph  int
+}
 
 // executionKey returns the canonical *execution* identity of a job: two
 // valid jobs with equal keys produce byte-identical Results (Metrics.Wall
 // aside), because they differ only in parameters the execution provably
 // never consumes. The sweep engine (sweep.go) groups grid elements by this
-// key so each distinct execution is simulated once.
+// key so each distinct execution is simulated once. graphs interns the
+// custom graphs of the jobs keyed together.
 //
 // The key is strictly coarser than Fingerprint: beyond the fingerprint's
 // zero-value aliases it erases parameters that are dead for the specific
@@ -398,17 +501,11 @@ const executionKeyVersion = "rbcast/exec/v1"
 // in doubt a parameter is kept, which only costs sharing, never correctness.
 // Keys of invalid jobs may collide across differently-invalid spellings;
 // that is fine because grouped elements share the representative's
-// validation error too.
-func (j Job) executionKey() string {
-	c, p := j.Config, j.Plan
-	placement := p.Placement
-	if placement == 0 {
-		placement = PlaceNone
-	}
-	strategy := p.Strategy
-	if strategy == 0 {
-		strategy = StrategyCrash
-	}
+// validation error too. A NaN float makes a key unequal to every key,
+// itself included, which costs that job its sharing and nothing else.
+func (j Job) executionKey(graphs *graphIDs) execKey {
+	c, p := j.aliased()
+	placement, strategy := p.Placement, p.Strategy
 	validStrategy := strategy >= StrategyCrash && strategy <= StrategyEquivocator
 	// Placement-dead knobs. Seed only feeds the randomized placements
 	// (random-bounded, percolation); Count only random-bounded;
@@ -453,44 +550,38 @@ func (j Job) executionKey() string {
 	if c.LossRate == 0 && !c.Concurrent {
 		c.MediumSeed = 0
 	}
-	return executionKeyVersion + "\n" + string(Job{Config: c, Plan: p}.canonical())
+	p.budgetForPlan = 0 // resolved by Run from Config.T
+	graph := graphs.id(c.Graph)
+	c.Graph = nil
+	return execKey{config: c, plan: p, graph: graph}
 }
 
-// canonicalEdges renders an undirected edge list canonically: each edge
-// low-endpoint-first, the list sorted, rendered "a-b,c-d".
-func canonicalEdges(edges [][2]int) string {
-	norm := make([][2]int, len(edges))
-	for i, e := range edges {
-		a, b := e[0], e[1]
-		if a > b {
-			a, b = b, a
-		}
-		norm[i] = [2]int{a, b}
-	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i][0] != norm[j][0] {
-			return norm[i][0] < norm[j][0]
-		}
-		return norm[i][1] < norm[j][1]
-	})
-	var b strings.Builder
-	for i, e := range norm {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(e[0]))
-		b.WriteByte('-')
-		b.WriteString(strconv.Itoa(e[1]))
-	}
-	return b.String()
+// graphIDs interns custom graphs for executionKey: equal graphs, however
+// their edge lists are spelled, get one id, and each distinct *GraphSpec
+// is rendered once. Ids start at 1; 0 stands for no graph. The zero value
+// is ready to use and allocates nothing until the first graph.
+type graphIDs struct {
+	bySpec map[*GraphSpec]int
+	byLine map[string]int
 }
 
-// canonicalFloat renders a float exactly (hexadecimal mantissa/exponent),
-// immune to decimal rounding differences. -0 renders as 0: the float
-// fields are only ever compared, and -0 == 0, so the two run identically.
-func canonicalFloat(f float64) string {
-	if f == 0 {
-		f = 0 // drops the sign of -0
+// id returns g's identity.
+func (ids *graphIDs) id(g *GraphSpec) int {
+	if g == nil {
+		return 0
 	}
-	return strconv.FormatFloat(f, 'x', -1, 64)
+	if id, ok := ids.bySpec[g]; ok {
+		return id
+	}
+	if ids.bySpec == nil {
+		ids.bySpec, ids.byLine = make(map[*GraphSpec]int), make(map[string]int)
+	}
+	line := string(appendGraph(nil, g))
+	id, ok := ids.byLine[line]
+	if !ok {
+		id = len(ids.byLine) + 1
+		ids.byLine[line] = id
+	}
+	ids.bySpec[g] = id
+	return id
 }

@@ -411,7 +411,9 @@ func decodeStrict[T any](data []byte) (T, error) {
 
 // FuzzJobFingerprint fuzzes the wire surface's identity: any body that
 // strictly decodes to a Job keeps its fingerprint through json.Marshal and
-// a strict re-decode, and through every documented alias swap.
+// a strict re-decode, and through every documented alias swap. The job
+// and all its spellings also hold the append-built encoders to their fmt
+// references (CheckEncoders).
 func FuzzJobFingerprint(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -424,6 +426,9 @@ func FuzzJobFingerprint(f *testing.F) {
 		`{"config":{"width":1e1},"plan":{"crash_round":-3,"budget":2,"count":5}}`,
 		`{"config":{"WIDTH":16},"plan":{"Strategy":"liar"}}`,
 		`{"config":{"width":16}} {}`,
+		`{"config":{"width":12,"height":10,"radius":1,"protocol":"flood","value":1,"nodes":5,"source":2,"retransmit":-2}}`,
+		`{"config":{"topology":"torus","width":12,"height":10,"radius":1,"protocol":"cpa","graph":{"nodes":2,"edges":[[1,0]]}}}`,
+		`{"config":{"topology":"rgg","nodes":8,"rgg_radius":0.5,"metric":"linf","protocol":"flood"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -444,11 +449,16 @@ func FuzzJobFingerprint(f *testing.F) {
 		if got := back.Fingerprint(); got != want {
 			t.Fatalf("re-encoding changed the fingerprint\n  in  %s\n  out %s", data, enc)
 		}
+		spellings := []Job{j, back}
 		for _, alias := range []struct {
 			name  string
 			apply func(*Job)
 		}{
-			{"metric 0 ≡ linf", func(j *Job) { j.Config.Metric = swap(j.Config.Metric, 0, MetricLinf) }},
+			{"metric 0 ≡ linf on the torus", func(j *Job) {
+				if j.Config.family() == TopologyTorus {
+					j.Config.Metric = swap(j.Config.Metric, 0, MetricLinf)
+				}
+			}},
 			{"placement 0 ≡ none", func(j *Job) { j.Plan.Placement = swap(j.Plan.Placement, 0, PlaceNone) }},
 			{"strategy 0 ≡ crash", func(j *Job) { j.Plan.Strategy = swap(j.Plan.Strategy, 0, StrategyCrash) }},
 			{"retransmit 0 ≡ 1", func(j *Job) { j.Config.Retransmit = swap(j.Config.Retransmit, 0, 1) }},
@@ -462,6 +472,10 @@ func FuzzJobFingerprint(f *testing.F) {
 			if got := k.Fingerprint(); got != want {
 				t.Fatalf("%s changed the fingerprint of %s", alias.name, data)
 			}
+			spellings = append(spellings, k)
+		}
+		if err := CheckEncoders(spellings); err != nil {
+			t.Fatalf("%s: %v", data, err)
 		}
 	})
 }
@@ -637,6 +651,9 @@ func TestFingerprintNonTorusSensitivity(t *testing.T) {
 		{"rgg_radius", func(j *Job) { j.Config.RGGRadius += 0.01 }},
 		{"topology_seed", func(j *Job) { j.Config.TopologySeed++ }},
 		{"source", func(j *Job) { j.Config.Source++ }},
+		// Metric configures only the torus: on rgg it is not an alias of
+		// the unset value but a job validation rejects.
+		{"metric", func(j *Job) { j.Config.Metric = MetricLinf }},
 	}
 	for _, tt := range mutations {
 		j := base

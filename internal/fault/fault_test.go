@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -207,6 +208,9 @@ func TestPercolation(t *testing.T) {
 	}
 	if _, err := Percolation(net, 1.5, source, 7); err == nil {
 		t.Error("probability > 1 must be rejected")
+	}
+	if _, err := Percolation(net, math.NaN(), source, 7); err == nil {
+		t.Error("a NaN probability must be rejected")
 	}
 	if all, err := Percolation(net, 1.0, source, 7); err != nil || len(all) != net.Size()-1 {
 		t.Errorf("pf=1 must fail everyone but the source: %d, err=%v", len(all), err)

@@ -111,7 +111,7 @@ func RandomBounded(g topology.Graph, t, target int, seed int64) ([]topology.Node
 // The source node is kept non-faulty so reachability is well-defined. It
 // works on any topology.Graph family.
 func Percolation(g topology.Graph, pf float64, source topology.NodeID, seed int64) ([]topology.NodeID, error) {
-	if pf < 0 || pf > 1 {
+	if !(pf >= 0 && pf <= 1) { // NaN fails both bounds
 		return nil, fmt.Errorf("fault: probability %v out of [0,1]", pf)
 	}
 	rng := rand.New(rand.NewSource(seed))

@@ -7,7 +7,7 @@
 //
 //	POST /v1/run              execute one scenario synchronously (cached)
 //	POST /v1/batch            submit a job list; returns a job id immediately
-//	POST /v1/sweep            plan + execute a parameter grid incrementally (NDJSON stream)
+//	POST /v1/sweep            plan + execute a parameter grid (NDJSON, written in batches)
 //	GET  /v1/jobs/{id}        poll a batch job's status and results
 //	GET  /v1/jobs/{id}/trace  stream a traced element's event log (NDJSON)
 //	GET  /v1/jobs/{id}/events stream a batch job's live progress (NDJSON)

@@ -9,6 +9,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -148,7 +149,8 @@ func appendJobStatus(dst []byte, job *batchJob, state string, results []element)
 }
 
 // writeRendered renders a 200 application/json body into a pooled buffer
-// and writes it; a render failure answers 500 as writeJSON does.
+// and writes it with its Content-Length, so it goes out in one write; a
+// render failure answers 500 as writeJSON does.
 func writeRendered(w http.ResponseWriter, render func([]byte) ([]byte, error)) {
 	buf := bufPool.Get().(*[]byte)
 	defer bufPool.Put(buf)
@@ -158,7 +160,39 @@ func writeRendered(w http.ResponseWriter, render func([]byte) ([]byte, error)) {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
+}
+
+// ndjsonBatch is the size from which writeLines hands its buffered lines
+// to the connection: large enough that a MB-sized /v1/sweep body costs a
+// few dozen writes instead of one write and one flush per line.
+const ndjsonBatch = 64 << 10
+
+// writeLines renders lines 0..n-1 into buf and writes them to w in
+// batches: a batch goes out once it holds ndjsonBatch bytes, and at the
+// last line. A batch always ends at the end of a line. It stops at the
+// first failed write, so a client that left costs no further rendering,
+// and it skips a line that fails to render. It returns buf, grown, for
+// the caller's pool.
+func writeLines(w io.Writer, buf []byte, n int, render func(dst []byte, i int) ([]byte, error)) []byte {
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		mark := len(buf)
+		line, err := render(buf, i)
+		if err != nil {
+			line = line[:mark]
+		}
+		buf = line
+		if len(buf) >= ndjsonBatch || (i == n-1 && len(buf) > 0) {
+			if _, err := w.Write(buf); err != nil {
+				return buf
+			}
+			buf = buf[:0]
+		}
+	}
+	return buf
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -288,7 +290,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 // floodScenario through Server.ServeHTTP: request decode, fingerprint,
 // cache read and the packed render of its 47 KB body. Before the packed
 // cache, the json.Marshal re-render alone cost about 4,300 allocations.
-const runHitAllocs = 31
+const runHitAllocs = 19
 
 // raceEnabled is set by race_test.go under the race detector, whose
 // instrumentation and randomly dropping sync.Pool change allocation counts.
@@ -322,10 +324,13 @@ func TestRunHitAllocs(t *testing.T) {
 }
 
 // failingWriter accepts its first ok writes, then fails every write; it
-// counts the writes attempted.
+// counts the writes attempted, and keeps the bytes it accepted and the
+// number of lines each accepted write carried.
 type failingWriter struct {
 	discardWriter
 	ok, writes int
+	body       []byte
+	lines      []int
 }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
@@ -333,29 +338,73 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	if w.writes > w.ok {
 		return 0, errors.New("client went away")
 	}
+	w.body = append(w.body, p...)
+	w.lines = append(w.lines, bytes.Count(p, []byte("\n")))
 	return len(p), nil
 }
 
-// TestSweepStopsWhenClientLeaves: a sweep stream whose writes start failing
-// after the header line renders no further element.
+// TestSweepStopsWhenClientLeaves: a sweep body that spans several batches
+// goes out one batch per write, and once a write fails the handler
+// neither writes nor renders again.
 func TestSweepStopsWhenClientLeaves(t *testing.T) {
-	srv := New(Options{})
 	body := mustMarshal(t, SweepRequest{
 		Base: RunRequest{
-			Config: rbcast.Config{Width: 14, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
+			Config: rbcast.Config{Width: 40, Height: 30, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1},
 			Plan:   rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash},
 		},
-		Axes: rbcast.SweepAxes{CrashRounds: []int{1, 2, 3, 4, 5, 6}},
+		Axes: rbcast.SweepAxes{CrashRounds: []int{1, 2, 3, 4, 5, 6, 7, 8}},
 	})
-	w := &failingWriter{discardWriter: discardWriter{header: http.Header{}}, ok: 1}
-	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
-	if w.status != http.StatusOK {
-		t.Fatalf("status %d", w.status)
+	sweep := func(ok int) *failingWriter {
+		w := &failingWriter{discardWriter: discardWriter{header: http.Header{}}, ok: ok}
+		New(Options{}).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+		return w
 	}
-	// One header line, then the first element's failed write; the five
-	// remaining elements and the trailer are never rendered.
-	if w.writes != 2 {
-		t.Errorf("sweep attempted %d writes after the client left, want 2 (header, first element)", w.writes)
+	stayed := sweep(math.MaxInt)
+	decodeSweepStream(t, stayed.body)
+	if lines := bytes.Count(stayed.body, []byte("\n")); len(stayed.body) < 3*ndjsonBatch || stayed.writes >= lines {
+		t.Fatalf("a %d-byte body of %d lines in %d writes: want at least three batches, fewer writes than lines",
+			len(stayed.body), lines, stayed.writes)
+	}
+	// The first batch goes out whole and the second write fails: nothing
+	// is written after it.
+	left := sweep(1)
+	if left.writes != 2 || len(left.body) < ndjsonBatch || left.lines[0] != stayed.lines[0] || !bytes.HasSuffix(left.body, []byte("\n")) {
+		t.Errorf("the client left at the second write: %d writes, %d bytes and %v lines accepted; want 2 writes after a first batch of %d lines",
+			left.writes, len(left.body), left.lines, stayed.lines[0])
+	}
+
+	// writeLines renders no line after the failed write: with four lines
+	// to a batch, a failure at write k leaves 4k lines rendered.
+	line := append(bytes.Repeat([]byte("x"), ndjsonBatch/4-1), '\n')
+	for ok := 0; ok < 3; ok++ {
+		w := &failingWriter{ok: ok}
+		rendered := 0
+		writeLines(w, nil, 40, func(dst []byte, i int) ([]byte, error) {
+			rendered++
+			return append(dst, line...), nil
+		})
+		if w.writes != ok+1 || rendered != 4*(ok+1) {
+			t.Errorf("write %d fails: %d writes, %d lines rendered; want %d and %d", ok+1, w.writes, rendered, ok+1, 4*(ok+1))
+		}
+	}
+}
+
+// TestWriteLinesSkipsUnrenderableLine: a line that fails to render leaves
+// none of its bytes in the body, and the lines around it still go out.
+func TestWriteLinesSkipsUnrenderableLine(t *testing.T) {
+	w := &failingWriter{ok: math.MaxInt}
+	writeLines(w, nil, 3, func(dst []byte, i int) ([]byte, error) {
+		dst = strconv.AppendInt(dst, int64(i), 10)
+		if i == 1 {
+			return dst, errors.New("cannot render")
+		}
+		return append(dst, '\n'), nil
+	})
+	if got := string(w.body); got != "0\n2\n" || w.writes != 1 {
+		t.Errorf("body %q in %d writes, want \"0\\n2\\n\" in one", got, w.writes)
 	}
 }
 

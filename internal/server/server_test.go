@@ -323,6 +323,29 @@ func TestJobEndpointUnknownID(t *testing.T) {
 	}
 }
 
+// TestRunInvalidTwinIsNotACacheHit: once a valid job is cached, a body
+// that differs from it only in a field validation rejects is rejected,
+// not served the valid job's result.
+func TestRunInvalidTwinIsNotACacheHit(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	valid := RunRequest{Config: rbcast.Config{Width: 12, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1}}
+	if resp, body := postJSON(t, ts, "/v1/run", valid); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid job: status %d: %s", resp.StatusCode, body)
+	}
+	nodes, retransmit := valid, valid
+	nodes.Config.Nodes = 5
+	retransmit.Config.Retransmit = -2
+	for _, invalid := range []RunRequest{nodes, retransmit} {
+		resp, body := postJSON(t, ts, "/v1/run", invalid)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, cache %q: %.120s; want 400", invalid.Config, resp.StatusCode, resp.Header.Get("X-Rbcast-Cache"), body)
+		}
+	}
+}
+
 func TestBatchValidation(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)

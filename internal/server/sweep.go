@@ -52,7 +52,7 @@ type SweepTrailer struct {
 // handleSweep plans a parameter grid server-side, executes it through
 // resolveJobs — cache hits and repeated fingerprints resolve without
 // simulating, the misses run on rbcast.RunSweepJobs (execution-key sharing
-// plus wavefront-prefix forks) — and streams per-element results as NDJSON:
+// plus wavefront-prefix forks) — and writes per-element results as NDJSON:
 // header, one line per element in grid order, stats trailer. Failure
 // modes follow /v1/run: invalid grid 400, draining 503, all execution slots
 // taken 429 (Retry-After), deadline elements marked partial inline.
@@ -103,15 +103,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.sweepNodeRounds.Add(stats.NodeRounds)
 	s.sweepScalarNodeRounds.Add(stats.ScalarNodeRounds)
 
-	// Every line is rendered into one reused buffer and flushed on its
-	// own, and a run of elements sharing one execution renders its result
-	// once. The stream stops at the first failed write: a client that left
-	// costs no further rendering. A line that fails to render is skipped.
+	// Every element is resolved before the first byte goes out, so a
+	// flush per line would give the client nothing sooner: the body goes
+	// out in batches (writeLines). A run of elements sharing one execution
+	// renders its result once. Writing stops at the first failed write: a
+	// client that left costs no further rendering. A line that fails to
+	// render is skipped.
 	encSp := tr.Start(root, "encode")
 	defer tr.End(encSp)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	buf, memoBuf := bufPool.Get().(*[]byte), bufPool.Get().(*[]byte)
 	memo := resultMemo{json: *memoBuf}
 	defer func() {
@@ -119,26 +120,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		*memoBuf = memo.json
 		bufPool.Put(memoBuf)
 	}()
-	writeLine := func(line []byte, err error) bool {
-		*buf = line
-		if err != nil {
-			return true
+	*buf = writeLines(w, *buf, len(results)+2, func(dst []byte, i int) ([]byte, error) {
+		switch {
+		case i == 0:
+			return appendMarshal(dst, SweepHeader{Elements: len(elements)})
+		case i <= len(results):
+			return appendSweepElement(dst, i-1, &results[i-1], &memo)
+		default:
+			return appendMarshal(dst, SweepTrailer{Stats: stats})
 		}
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	if !writeLine(appendMarshal((*buf)[:0], SweepHeader{Elements: len(elements)})) {
-		return
-	}
-	for i := range results {
-		if !writeLine(appendSweepElement((*buf)[:0], i, &results[i], &memo)) {
-			return
-		}
-	}
-	writeLine(appendMarshal((*buf)[:0], SweepTrailer{Stats: stats}))
+	})
 }

@@ -186,7 +186,7 @@ func (c Config) validate() error {
 	if c.T > protocol.MaxT {
 		return fmt.Errorf("rbcast: fault bound T = %d exceeds 2³¹−1 = %d", c.T, protocol.MaxT)
 	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
+	if !(c.LossRate >= 0 && c.LossRate < 1) { // NaN fails both bounds
 		return fmt.Errorf("rbcast: loss rate %v outside [0,1)", c.LossRate)
 	}
 	if c.Retransmit < 0 {

@@ -60,6 +60,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(base, FaultPlan{Placement: PlaceBand, Strategy: Strategy(99)}); err == nil {
 		t.Error("invalid strategy must be rejected")
 	}
+	if _, err := Run(base, FaultPlan{Placement: PlacePercolation, Probability: math.NaN(), Seed: 1}); err == nil {
+		t.Error("a NaN percolation probability must be rejected, not place no faults")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -92,6 +95,9 @@ func TestConfigValidation(t *testing.T) {
 		{"negative loss rate", func(c *Config) { c.LossRate = -0.1 }, "loss rate"},
 		{"loss rate 1", func(c *Config) { c.LossRate = 1 }, "loss rate"},
 		{"loss rate 1.5", func(c *Config) { c.LossRate = 1.5 }, "loss rate"},
+		// JSON cannot carry NaN, but a library caller can; it must not
+		// run as the ideal medium.
+		{"NaN loss rate", func(c *Config) { c.LossRate = math.NaN() }, "loss rate"},
 		{"negative retransmit", func(c *Config) { c.Retransmit = -1 }, "Retransmit"},
 		{"negative max rounds", func(c *Config) { c.MaxRounds = -5 }, "MaxRounds"},
 		{"max rounds 0 ok", func(c *Config) { c.MaxRounds = 0 }, ""},

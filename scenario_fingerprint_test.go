@@ -60,6 +60,27 @@ func TestScenarioFingerprintsStable(t *testing.T) {
 	}
 }
 
+// TestEncodersMatchReferences holds the append-built canonical bytes and
+// the struct execution key to their fmt-rendered references
+// (rbcast.CheckEncoders) on every matrix scenario and every element of
+// the canonical sweep grids.
+func TestEncodersMatchReferences(t *testing.T) {
+	var jobs []rbcast.Job
+	for _, sc := range scenarios.Matrix() {
+		jobs = append(jobs, rbcast.Job{Config: sc.Config, Plan: sc.Plan})
+	}
+	for _, g := range scenarios.SweepGrids() {
+		elements, err := g.Spec.Elements()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, elements...)
+	}
+	if err := rbcast.CheckEncoders(jobs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNonTorusScenariosEndToEnd is the tentpole's acceptance check in test
 // form: every non-torus scenario of the matrix runs through the public
 // surface, produces a stable fingerprint, and reports a coherent Result

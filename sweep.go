@@ -173,39 +173,34 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 	tr, parent := obs.SpanFromContext(opts.Context)
 	planSp := tr.Start(parent, "sweep_plan")
 
-	// Layer 1: group element indices by execution key.
-	byKey := make(map[string]*sweepGroup)
-	var order []*sweepGroup
-	for i := range jobs {
-		k := jobs[i].executionKey()
-		g := byKey[k]
-		if g == nil {
-			g = &sweepGroup{}
-			byKey[k] = g
-			order = append(order, g)
-		}
-		g.indices = append(g.indices, i)
-	}
-
-	// Layer 2: bundle fork-eligible groups into crash families. Groups in
-	// one family run identically until their crash rounds diverge, so the
-	// family executes as a single trunk engine forked at each boundary.
+	// Layer 1 groups element indices by execution key. Layer 2 bundles
+	// fork-eligible groups into crash families: groups in one family run
+	// identically until their crash rounds diverge, so the family executes
+	// as a single trunk engine forked at each boundary. A family's key is
+	// its groups' key with the crash round erased, and units keep the
+	// order of their first elements.
+	var graphs graphIDs
+	byKey := make(map[execKey]*sweepGroup)
+	families := make(map[execKey]int) // family key -> units index
 	var units [][]*sweepGroup
-	families := make(map[string]int) // family key -> units index
-	for _, g := range order {
-		job := jobs[g.indices[0]]
-		if !forkEligible(job) {
+	for i := range jobs {
+		k := jobs[i].executionKey(&graphs)
+		if g := byKey[k]; g != nil {
+			g.indices = append(g.indices, i)
+			continue
+		}
+		g := &sweepGroup{indices: []int{i}}
+		byKey[k] = g
+		if !forkEligible(jobs[i]) {
 			units = append(units, []*sweepGroup{g})
 			continue
 		}
-		g.crash = job.Plan.CrashRound
-		famJob := job
-		famJob.Plan.CrashRound = 0
-		famKey := famJob.executionKey()
-		if ui, ok := families[famKey]; ok {
+		g.crash = jobs[i].Plan.CrashRound
+		k.plan.CrashRound = 0
+		if ui, ok := families[k]; ok {
 			units[ui] = append(units[ui], g)
 		} else {
-			families[famKey] = len(units)
+			families[k] = len(units)
 			units = append(units, []*sweepGroup{g})
 		}
 	}

@@ -62,10 +62,11 @@ func mustHash(t *testing.T, res rbcast.Result) string {
 // per canonical sweep grid, on two workers; TestSweepAllocs allows 10%
 // over it. A Result and a prepared scenario per fork-family group, or a
 // fork cloning one process at a time, costs thousands more: the calls
-// allocated 4,650 and 7,095 times that way.
+// allocated 4,650 and 7,095 times that way. Grouping by rendered text
+// keys, through fmt, cost 1,509 and 1,070.
 var sweepAllocs = map[string]float64{
-	"flood/40x30": 1509,
-	"cpa/32x24":   1070,
+	"flood/40x30": 376,
+	"cpa/32x24":   507,
 }
 
 // TestSweepAllocs gates the sweep executor's allocations, which are

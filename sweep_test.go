@@ -164,6 +164,9 @@ func TestSweepHeterogeneous(t *testing.T) {
 		}
 		jobs = append(jobs, j)
 	}
+	if err := CheckEncoders(jobs); err != nil {
+		t.Error(err)
+	}
 	requireSweepMatchesScalar(t, "heterogeneous", jobs)
 }
 
@@ -261,6 +264,9 @@ func FuzzSweepSpec(f *testing.F) {
 		if len(jobs) > MaxSweepElements {
 			t.Fatalf("%d elements pass the %d-element cap", len(jobs), MaxSweepElements)
 		}
+		if err := CheckEncoders(jobs); err != nil {
+			t.Fatal(err)
+		}
 		// The concurrent engine's traces interleave events within a round
 		// nondeterministically, so two runs of one element differ.
 		if len(jobs) > 8 || !tinyNetwork(*c) || (c.Concurrent && c.Trace) {
@@ -301,10 +307,10 @@ func TestExecutionKeyBudgetTrap(t *testing.T) {
 			Plan:   FaultPlan{Placement: PlaceGreedyBand, Strategy: StrategyCrash, CrashRound: 2, Budget: budget},
 		}
 	}
-	if mk(1, 0).executionKey() == mk(3, 0).executionKey() {
+	if mk(1, 0).executionKey(&graphIDs{}) == mk(3, 0).executionKey(&graphIDs{}) {
 		t.Error("T feeds the greedy-band budget when Budget is 0; keys must differ")
 	}
-	if mk(1, 2).executionKey() != mk(3, 2).executionKey() {
+	if mk(1, 2).executionKey(&graphIDs{}) != mk(3, 2).executionKey(&graphIDs{}) {
 		t.Error("with an explicit Budget, flood's T is dead; keys must match")
 	}
 	// And the sweep must produce scalar-identical results either way.
@@ -319,10 +325,102 @@ func TestExecutionKeyOversizedT(t *testing.T) {
 	mk := func(tval int) Job {
 		return Job{Config: Config{Width: 8, Height: 8, Radius: 1, Protocol: ProtocolFlood, T: tval, Value: 1}}
 	}
-	if mk(1).executionKey() == mk(math.MaxInt64).executionKey() {
+	if mk(1).executionKey(&graphIDs{}) == mk(math.MaxInt64).executionKey(&graphIDs{}) {
 		t.Error("T above protocol.MaxT is rejected by validation; keys must differ")
 	}
 	requireSweepMatchesScalar(t, "oversized-t", []Job{mk(1), mk(math.MaxInt64), mk(protocol.MaxT)})
+}
+
+// TestExecutionKeysMatchTextKeys holds the struct execution key to the
+// text key on custom graphs spelled several ways, the other families,
+// aliases and the invalid jobs of TestInvalidJobSharesNoValidExecution,
+// and checks that a graph seen once is not rendered again.
+func TestExecutionKeysMatchTextKeys(t *testing.T) {
+	ring := chordRing(24, 4)
+	reordered := &GraphSpec{Nodes: ring.Nodes}
+	for i := len(ring.Edges) - 1; i >= 0; i-- {
+		e := ring.Edges[i]
+		reordered.Edges = append(reordered.Edges, [2]int{e[1], e[0]})
+	}
+	other := chordRing(24, 5)
+	custom := func(g *GraphSpec, tval int) Job {
+		return Job{
+			Config: Config{Topology: TopologyCustom, Graph: g, Protocol: ProtocolCPA, T: tval, Value: 1},
+			Plan:   FaultPlan{Placement: PlaceRandomBounded, Strategy: StrategyCrash, Count: 3, Seed: 5, Budget: 2, CrashRound: 2},
+		}
+	}
+	rgg := Job{Config: Config{Topology: TopologyRGG, Nodes: 60, RGGRadius: 0.25, TopologySeed: 2, Protocol: ProtocolCPA, T: 1, Value: 1}}
+	withConfig := func(j Job, mutate func(*Config)) Job {
+		mutate(&j.Config)
+		return j
+	}
+	torus := Job{Config: Config{Width: 12, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1}}
+	jobs := []Job{
+		custom(ring, 1), custom(reordered, 1), custom(chordRing(24, 4), 1), custom(other, 1),
+		custom(ring, 2), custom(&GraphSpec{Nodes: 24}, 1), custom(&GraphSpec{Nodes: 24, Edges: [][2]int{}}, 1),
+		withConfig(custom(ring, 1), func(c *Config) { c.Metric = MetricLinf }),
+		rgg,
+		withConfig(rgg, func(c *Config) { c.MediumSeed = 4 }),
+		withConfig(rgg, func(c *Config) { c.Metric = MetricLinf }),
+		torus,
+		{Config: fullConfig(), Plan: fullPlan()},
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Nodes = 5 },
+		func(c *Config) { c.Graph = ring },
+		func(c *Config) { c.Graph = reordered },
+		func(c *Config) { c.Topology = TopologyTorus; c.Source = 1 },
+		func(c *Config) { c.Retransmit = -2 },
+		func(c *Config) { c.Retransmit = 1 },
+		func(c *Config) { c.Metric = MetricLinf },
+	} {
+		jobs = append(jobs, withConfig(torus, mutate))
+	}
+	if err := CheckEncoders(jobs); err != nil {
+		t.Fatal(err)
+	}
+	var graphs graphIDs
+	if jobs[0].executionKey(&graphs) != jobs[1].executionKey(&graphs) {
+		t.Error("one graph spelled two ways must share an execution key")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { jobs[1].executionKey(&graphs) }); allocs != 0 {
+		t.Errorf("keying a job whose graph was seen before allocates %.0f times; want 0", allocs)
+	}
+}
+
+// TestInvalidJobSharesNoValidExecution: a torus job that sets a field of
+// another topology family, another family's job that sets the torus-only
+// Metric, and a negative Retransmit are jobs validation rejects. Each
+// fingerprints apart from its valid twin and shares no execution with it:
+// in either order, the valid job succeeds and the invalid one fails, as
+// their scalar runs do.
+func TestInvalidJobSharesNoValidExecution(t *testing.T) {
+	torus := Job{Config: Config{Width: 12, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1}}
+	rgg := Job{Config: Config{Topology: TopologyRGG, Nodes: 40, RGGRadius: 0.3, TopologySeed: 1, Protocol: ProtocolFlood, Value: 1}}
+	custom := Job{Config: Config{Topology: TopologyCustom, Graph: chordRing(12, 3), Protocol: ProtocolCPA, T: 1, Value: 1}}
+	for _, tt := range []struct {
+		name   string
+		valid  Job
+		mutate func(*Config)
+	}{
+		{"nodes", torus, func(c *Config) { c.Nodes = 5 }},
+		{"rgg_radius", torus, func(c *Config) { c.RGGRadius = 0.3 }},
+		{"topology_seed", torus, func(c *Config) { c.TopologySeed = 3 }},
+		{"source", torus, func(c *Config) { c.Source = 2 }},
+		{"graph", torus, func(c *Config) { c.Graph = &GraphSpec{Nodes: 2, Edges: [][2]int{{0, 1}}} }},
+		{"explicit torus with nodes", torus, func(c *Config) { c.Topology = TopologyTorus; c.Nodes = 5 }},
+		{"negative retransmit", torus, func(c *Config) { c.Retransmit = -2 }},
+		{"rgg metric", rgg, func(c *Config) { c.Metric = MetricLinf }},
+		{"custom metric", custom, func(c *Config) { c.Metric = MetricL2 }},
+	} {
+		valid, invalid := tt.valid, tt.valid
+		tt.mutate(&invalid.Config)
+		if invalid.Fingerprint() == valid.Fingerprint() {
+			t.Errorf("%s: the invalid job shares the valid job's fingerprint", tt.name)
+		}
+		requireSweepMatchesScalar(t, tt.name+"/invalid-first", []Job{invalid, valid})
+		requireSweepMatchesScalar(t, tt.name+"/valid-first", []Job{valid, invalid})
+	}
 }
 
 // chordRing builds a ring of n nodes where each node also links to the node
