@@ -63,32 +63,24 @@ func main() {
 	switch *place {
 	case "none":
 	case "band":
-		for _, x0 := range []int{*width / 4, 3 * *width / 4} {
-			faults = append(faults, fault.Band(net, x0, *radius)...)
-		}
+		faults, err = fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+			return fault.Band(net, x0, *radius), nil
+		})
 	case "checkerboard":
-		for _, x0 := range []int{*width / 4, 3 * *width / 4} {
-			band, err := fault.CheckerboardBand(net, x0, *radius)
-			if err != nil {
-				fatal("%v", err)
-			}
-			faults = append(faults, band...)
-		}
+		faults, err = fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+			return fault.CheckerboardBand(net, x0, *radius)
+		})
 	case "greedy":
-		for _, x0 := range []int{*width / 4, 3 * *width / 4} {
-			band, err := fault.GreedyBand(net, x0, *radius, tVal)
-			if err != nil {
-				fatal("%v", err)
-			}
-			faults = append(faults, band...)
-		}
+		faults, err = fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+			return fault.GreedyBand(net, x0, *radius, tVal)
+		})
 	case "random":
 		faults, err = fault.RandomBounded(net, tVal, -1, *seed)
-		if err != nil {
-			fatal("%v", err)
-		}
 	default:
 		fatal("unknown placement %q", *place)
+	}
+	if err != nil {
+		fatal("%v", err)
 	}
 	kept := faults[:0]
 	for _, id := range faults {

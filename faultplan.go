@@ -145,55 +145,28 @@ func (p FaultPlan) materialize(g topology.Graph, source topology.NodeID) (materi
 	if budget == 0 {
 		budget = p.budgetForPlan
 	}
-	// torus gates the band placements on the grid family.
-	torus := func() (*topology.Network, error) {
-		net, ok := g.(*topology.Network)
-		if !ok {
-			return nil, fmt.Errorf("rbcast: placement %s requires the torus topology, got family %q",
-				placement, g.Family())
-		}
-		return net, nil
-	}
 
 	var ids []topology.NodeID
 	var err error
 	switch placement {
 	case PlaceNone:
-	case PlaceBand:
-		net, terr := torus()
-		if terr != nil {
-			return materialized{}, terr
+	case PlaceBand, PlaceCheckerboardBand, PlaceGreedyBand:
+		net, ok := g.(*topology.Network)
+		if !ok {
+			return materialized{}, fmt.Errorf("rbcast: placement %s requires the torus topology, got family %q",
+				placement, g.Family())
 		}
-		r, w := net.Radius(), net.Torus().W
-		for _, x0 := range []int{w / 4, 3 * w / 4} {
-			ids = append(ids, fault.Band(net, x0, r)...)
-		}
-	case PlaceCheckerboardBand:
-		net, terr := torus()
-		if terr != nil {
-			return materialized{}, terr
-		}
-		r, w := net.Radius(), net.Torus().W
-		for _, x0 := range []int{w / 4, 3 * w / 4} {
-			band, cerr := fault.CheckerboardBand(net, x0, r)
-			if cerr != nil {
-				return materialized{}, cerr
+		r := net.Radius()
+		ids, err = fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+			switch placement {
+			case PlaceBand:
+				return fault.Band(net, x0, r), nil
+			case PlaceCheckerboardBand:
+				return fault.CheckerboardBand(net, x0, r)
+			default:
+				return fault.GreedyBand(net, x0, r, budget)
 			}
-			ids = append(ids, band...)
-		}
-	case PlaceGreedyBand:
-		net, terr := torus()
-		if terr != nil {
-			return materialized{}, terr
-		}
-		r, w := net.Radius(), net.Torus().W
-		for _, x0 := range []int{w / 4, 3 * w / 4} {
-			band, cerr := fault.GreedyBand(net, x0, r, budget)
-			if cerr != nil {
-				return materialized{}, cerr
-			}
-			ids = append(ids, band...)
-		}
+		})
 	case PlaceRandomBounded:
 		count := p.Count
 		if count <= 0 {
@@ -291,9 +264,4 @@ func MaxFaultsPerNeighborhood(cfg Config, plan FaultPlan) (int, error) {
 		return 0, err
 	}
 	return fault.MaxPerNeighborhood(g, m.faulty), nil
-}
-
-// faultMaxPerNeighborhood is an indirection point shared with result.go.
-func faultMaxPerNeighborhood(g topology.Graph, ids []topology.NodeID) int {
-	return fault.MaxPerNeighborhood(g, ids)
 }

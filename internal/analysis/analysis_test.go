@@ -48,16 +48,12 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := evidence.NewPatternMemo(ft)
 	for _, bound := range []int{protocol.MaxT + 1, math.MaxInt64} {
 		if _, err := CPAClosure(net, 0, nil, bound); err == nil {
 			t.Errorf("CPAClosure: t = %d must be rejected", bound)
 		}
 		if _, err := BV4Closure(net, ft, 0, nil, bound); err == nil {
 			t.Errorf("BV4Closure: t = %d must be rejected", bound)
-		}
-		if _, err := BV4ClosureMemo(net, memo, 0, nil, bound); err == nil {
-			t.Errorf("BV4ClosureMemo: t = %d must be rejected", bound)
 		}
 	}
 	// protocol.MaxT itself is a valid bound: no node but the source's
@@ -89,7 +85,7 @@ func TestFloodReachableFaultFree(t *testing.T) {
 	}
 }
 
-// TestFloodPredictionMatchesSimulation is the E25 differential check for
+// TestFloodPredictionMatchesSimulation is the E24 differential check for
 // the crash-stop model: static reachability equals the simulated outcome.
 func TestFloodPredictionMatchesSimulation(t *testing.T) {
 	net := testNet(t, 16, 10, 1)
@@ -155,57 +151,71 @@ func TestCPAPredictionMatchesSimulation(t *testing.T) {
 }
 
 // TestBV4PredictionMatchesSimulation: the designated-evidence closure
-// agrees with the simulated protocol against silent adversaries.
+// agrees with the simulated protocol against silent adversaries, at r = 1
+// and r = 2, below the threshold and at Koo's bound, where the doubled
+// Fig 13 checkerboard band must stall some honest node. At r = 1 the
+// random placement at Koo's bound is the row whose commits need designated
+// paths: direct hearing alone commits 23 of its 134 honest nodes.
 func TestBV4PredictionMatchesSimulation(t *testing.T) {
-	r := 1
-	net := testNet(t, 16, 10, r)
-	src := net.IDOf(grid.C(0, 0))
-	ft, err := evidence.NewFamilyTable(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tMax := bounds.MaxByzantineLinf(r)
-	for _, scenario := range []struct {
-		name string
-		byz  func() []topology.NodeID
-		tVal int
+	for _, tc := range []struct {
+		r, w, h int
 	}{
-		{"random below threshold", func() []topology.NodeID {
-			ids, err := fault.RandomBounded(net, tMax, -1, 3)
+		{1, 16, 10},
+		{2, 20, 14},
+	} {
+		r := tc.r
+		net := testNet(t, tc.w, tc.h, r)
+		src := net.IDOf(grid.C(0, 0))
+		ft, err := evidence.NewFamilyTable(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tMax, tImp := bounds.MaxByzantineLinf(r), bounds.MinImpossibleByzantineLinf(r)
+		randomAt := func(tVal int) []topology.NodeID {
+			ids, err := fault.RandomBounded(net, tVal, -1, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return remove(ids, src)
-		}, tMax},
-		{"checkerboard at impossibility", func() []topology.NodeID {
-			var out []topology.NodeID
-			for _, x0 := range []int{4, 12} {
-				band, err := fault.CheckerboardBand(net, x0, r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, band...)
-			}
-			return out
-		}, bounds.MinImpossibleByzantineLinf(r)},
-	} {
-		byz := scenario.byz()
-		pred, err := BV4Closure(net, ft, src, byz, scenario.tVal)
-		if err != nil {
-			t.Fatal(err)
 		}
-		out, err := protocol.Run(protocol.RunConfig{
-			Kind:      protocol.BV4,
-			Params:    protocol.Params{Net: net, Source: src, Value: 1, T: scenario.tVal},
-			Byzantine: byzMap(byz),
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+			return fault.CheckerboardBand(net, x0, r)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id, d := range out.Result.Decisions {
-			if pred.Committed[id] != d.Decided {
-				t.Fatalf("%s node %v: predicted %v, simulated %v",
-					scenario.name, net.CoordOf(topology.NodeID(id)), pred.Committed[id], d.Decided)
+		for _, scenario := range []struct {
+			name  string
+			byz   []topology.NodeID
+			tVal  int
+			stall bool
+		}{
+			{"random below threshold", randomAt(tMax), tMax, false},
+			{"random at impossibility", randomAt(tImp), tImp, false},
+			{"checkerboard at impossibility", band, tImp, true},
+		} {
+			byz := scenario.byz
+			pred, err := BV4Closure(net, ft, src, byz, scenario.tVal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stalled := !pred.All(net, byz); stalled != scenario.stall {
+				t.Errorf("r=%d %s: %d of %d honest nodes predicted to commit, stall %v, want %v",
+					r, scenario.name, pred.Count, net.Size()-len(byz), stalled, scenario.stall)
+			}
+			out, err := protocol.Run(protocol.RunConfig{
+				Kind:      protocol.BV4,
+				Params:    protocol.Params{Net: net, Source: src, Value: 1, T: scenario.tVal},
+				Byzantine: byzMap(byz),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id, d := range out.Result.Decisions {
+				if pred.Committed[id] != d.Decided {
+					t.Fatalf("r=%d %s node %v: predicted %v, simulated %v",
+						r, scenario.name, net.CoordOf(topology.NodeID(id)), pred.Committed[id], d.Decided)
+				}
 			}
 		}
 	}

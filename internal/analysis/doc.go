@@ -4,7 +4,7 @@
 // protocol (§IX), and the designated-evidence closure of the indirect-report
 // protocol (§VI). Against a silent adversary the predictions are exact, so
 // the analyzer doubles as a differential oracle for the simulator
-// (experiment E25) and as a fast screening tool for adversarial placements.
+// (experiment E24) and as a fast screening tool for adversarial placements.
 //
 // Silent faults are the worst case for liveness: any transmission a
 // Byzantine node chooses to make can only add evidence for honest nodes

@@ -45,7 +45,7 @@ func runE24Analyzer() (Report, error) {
 		faults []topology.NodeID
 		tVal   int
 	}
-	band, err := torusBands(net, r, func(x0 int) ([]topology.NodeID, error) {
+	band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 		return fault.CheckerboardBand(net, x0, r)
 	})
 	if err != nil {

@@ -55,7 +55,7 @@ func runE25MessageComplexity() (Report, error) {
 		if sc.kind == protocol.CPA {
 			tMax = bounds.MaxCPALinf(sc.r)
 		}
-		band, err := torusBands(net, sc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, sc.r, tMax)
 		})
 		if err != nil {

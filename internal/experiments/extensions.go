@@ -67,7 +67,7 @@ func runE21CPATightness() (Report, error) {
 			wrong += out.Wrong
 		}
 		// Greedy band placement.
-		band, err := torusBands(net, r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, r, tVal)
 		})
 		if err != nil {
@@ -101,7 +101,7 @@ func runE21CPATightness() (Report, error) {
 	}
 	// Sanity anchor: one past the exact threshold the checkerboard band
 	// stalls CPA too.
-	band, err := torusBands(net, r, func(x0 int) ([]topology.NodeID, error) {
+	band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 		return fault.CheckerboardBand(net, x0, r)
 	})
 	if err != nil {

@@ -97,7 +97,7 @@ func runE16L2Crash() (Report, error) {
 	src := net.IDOf(grid.C(0, 0))
 
 	// Impossible: full band of width r (doubled on the torus).
-	band, err := torusBands(net, r, func(x0 int) ([]topology.NodeID, error) {
+	band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 		return fault.Band(net, x0, r), nil
 	})
 	if err != nil {

@@ -102,13 +102,6 @@ func Run(id string) (Report, error) {
 	return r()
 }
 
-// RunAll executes every experiment in id order, collecting reports. It
-// returns an error only for infrastructure failures; claim mismatches are
-// reported via Report.Pass.
-func RunAll() ([]Report, error) {
-	return RunMany(IDs(), 1)
-}
-
 // RunMany executes the given experiments across a bounded worker pool
 // (workers ≤ 0 means GOMAXPROCS) and returns their reports in input order —
 // identical to running them sequentially, since every runner is

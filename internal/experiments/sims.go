@@ -25,20 +25,6 @@ func buildNet(w, h, r int, m grid.Metric) (*topology.Network, error) {
 	return topology.New(grid.Torus{W: w, H: h}, m, r)
 }
 
-// torusBands places the given band construction at the two antipodal
-// columns of the torus (one half-plane cut needs two bands on a torus).
-func torusBands(net *topology.Network, width int, build func(x0 int) ([]topology.NodeID, error)) ([]topology.NodeID, error) {
-	var out []topology.NodeID
-	for _, x0 := range []int{net.Torus().W / 4, 3 * net.Torus().W / 4} {
-		band, err := build(x0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, band...)
-	}
-	return out, nil
-}
-
 // middleOf returns honest nodes strictly between the two torus bands.
 func middleOf(net *topology.Network, width int, faulty []topology.NodeID) []topology.NodeID {
 	isF := make(map[topology.NodeID]bool, len(faulty))
@@ -90,7 +76,7 @@ func runE08Thm1Sim() (Report, error) {
 			return rep, err
 		}
 		tMax := bounds.MaxByzantineLinf(tc.r)
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, tc.r, tMax)
 		})
 		if err != nil {
@@ -149,7 +135,7 @@ func runE09Thm1Impossible() (Report, error) {
 			return rep, err
 		}
 		tImp := bounds.MinImpossibleByzantineLinf(tc.r)
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.CheckerboardBand(net, x0, tc.r)
 		})
 		if err != nil {
@@ -200,7 +186,7 @@ func runE10CrashImpossible() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.Band(net, x0, tc.r), nil
 		})
 		if err != nil {
@@ -252,7 +238,7 @@ func runE11CrashPossible() (Report, error) {
 			return rep, err
 		}
 		tMax := bounds.MaxCrashLinf(tc.r)
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, tc.r, tMax)
 		})
 		if err != nil {
@@ -304,7 +290,7 @@ func runE12CPA() (Report, error) {
 			return rep, err
 		}
 		tCPA := bounds.MaxCPALinf(tc.r)
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, tc.r, tCPA)
 		})
 		if err != nil {
@@ -369,7 +355,7 @@ func runE13TwoHop() (Report, error) {
 			return rep, err
 		}
 		tMax := bounds.MaxByzantineLinf(tc.r)
-		band, err := torusBands(net, tc.r, func(x0 int) ([]topology.NodeID, error) {
+		band, err := fault.TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
 			return fault.GreedyBand(net, x0, tc.r, tMax)
 		})
 		if err != nil {

@@ -143,6 +143,32 @@ func TestCheckerboardBandNeedsEvenHeight(t *testing.T) {
 	}
 }
 
+func TestTorusBands(t *testing.T) {
+	net := testNet(t, 14, 10, 2)
+	ids, err := TorusBands(net, func(x0 int) ([]topology.NodeID, error) {
+		return Band(net, x0, 2), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns W/4 = 3 and 3W/4 = 10, each band in Band's order.
+	want := append(Band(net, 3, 2), Band(net, 10, 2)...)
+	if len(ids) != len(want) {
+		t.Fatalf("%d nodes, want %d", len(ids), len(want))
+	}
+	for i := range want {
+		if ids[i] != want[i] {
+			t.Fatalf("node %d at %v, want %v", i, net.CoordOf(ids[i]), net.CoordOf(want[i]))
+		}
+	}
+	odd := testNet(t, 14, 9, 2)
+	if _, err := TorusBands(odd, func(x0 int) ([]topology.NodeID, error) {
+		return CheckerboardBand(odd, x0, 2)
+	}); err == nil {
+		t.Error("a band construction's error must be returned")
+	}
+}
+
 func TestGreedyBandRespectsBudget(t *testing.T) {
 	net := testNet(t, 18, 12, 2)
 	for _, bound := range []int{1, 4, 9, 10} {

@@ -81,6 +81,22 @@ func GreedyBand(net *topology.Network, x0, width, t int) ([]topology.NodeID, err
 	return b.Faulty(), nil
 }
 
+// TorusBands places a band construction at the two antipodal columns W/4
+// and 3W/4 of the torus, in that order: one band does not cut a torus, two
+// do. build returns the band that starts at column x0.
+func TorusBands(net *topology.Network, build func(x0 int) ([]topology.NodeID, error)) ([]topology.NodeID, error) {
+	w := net.Torus().W
+	var out []topology.NodeID
+	for _, x0 := range [2]int{w / 4, 3 * w / 4} {
+		band, err := build(x0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, band...)
+	}
+	return out, nil
+}
+
 // RandomBounded places faults by visiting all nodes in a seeded random
 // order, marking each faulty while the budget t permits, until `target`
 // faults are placed (or the placement saturates). target < 0 means "as many

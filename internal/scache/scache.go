@@ -55,10 +55,9 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Outcome classifies how one Do/DoOutcome call was resolved. Request
-// tracing uses it to attribute the cache phase: a resident hit and a
-// single-flight wait both report cached=true but spend time very
-// differently.
+// Outcome classifies how one DoOutcome call was resolved. Request tracing
+// uses it to attribute the cache phase: a resident hit and a single-flight
+// wait both avoid executing fn but spend time very differently.
 type Outcome int
 
 const (
@@ -71,20 +70,13 @@ const (
 	OutcomeJoined
 )
 
-// Do returns the cached value for key, or executes fn exactly once to
-// produce it. Concurrent Do calls with the same key coalesce: one caller
+// DoOutcome returns the cached value for key, or executes fn exactly once
+// to produce it. Concurrent calls with the same key coalesce: one caller
 // executes, the rest block until it finishes and share its value or error.
-// cached reports whether this call avoided executing fn (resident hit or
-// coalesced wait). Successful values are inserted at the LRU front;
-// errors are returned to all coalesced callers but never cached.
-func (c *Cache[V]) Do(key string, fn func() (V, error)) (val V, err error, cached bool) {
-	val, err, outcome := c.DoOutcome(key, fn)
-	return val, err, outcome != OutcomeMiss
-}
-
-// DoOutcome is Do with the resolution classified: OutcomeHit (resident),
-// OutcomeJoined (coalesced onto an in-flight execution), or OutcomeMiss
-// (this call executed fn).
+// outcome classifies the resolution: OutcomeHit (resident), OutcomeJoined
+// (coalesced onto an in-flight execution), or OutcomeMiss (this call
+// executed fn). Successful values are inserted at the LRU front; errors
+// are returned to all coalesced callers but never cached.
 func (c *Cache[V]) DoOutcome(key string, fn func() (V, error)) (val V, err error, outcome Outcome) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -139,7 +131,7 @@ func (c *Cache[V]) settle(key string, f *flight[V], store bool) {
 }
 
 // Get returns the resident value for key, counting a hit or miss. It does
-// not join in-flight executions — callers that want coalescing use Do.
+// not join in-flight executions — callers that want coalescing use DoOutcome.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,13 +166,6 @@ func (c *Cache[V]) putLocked(key string, val V) {
 		delete(c.items, oldest.Value.(*entry[V]).key)
 		c.evicted++
 	}
-}
-
-// Len reports the resident entry count.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats copies the counters.

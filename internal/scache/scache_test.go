@@ -12,13 +12,13 @@ func TestDoCachesValues(t *testing.T) {
 	c := New[int](4)
 	calls := 0
 	fn := func() (int, error) { calls++; return 42, nil }
-	v, err, cached := c.Do("k", fn)
-	if v != 42 || err != nil || cached {
-		t.Fatalf("first Do = (%d, %v, %t)", v, err, cached)
+	v, err, outcome := c.DoOutcome("k", fn)
+	if v != 42 || err != nil || outcome != OutcomeMiss {
+		t.Fatalf("first DoOutcome = (%d, %v, %v)", v, err, outcome)
 	}
-	v, err, cached = c.Do("k", fn)
-	if v != 42 || err != nil || !cached {
-		t.Fatalf("second Do = (%d, %v, %t)", v, err, cached)
+	v, err, outcome = c.DoOutcome("k", fn)
+	if v != 42 || err != nil || outcome != OutcomeHit {
+		t.Fatalf("second DoOutcome = (%d, %v, %v)", v, err, outcome)
 	}
 	if calls != 1 {
 		t.Errorf("fn executed %d times", calls)
@@ -33,19 +33,19 @@ func TestErrorsAreNotCached(t *testing.T) {
 	c := New[int](4)
 	boom := errors.New("boom")
 	calls := 0
-	_, err, _ := c.Do("k", func() (int, error) { calls++; return 0, boom })
+	_, err, _ := c.DoOutcome("k", func() (int, error) { calls++; return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	v, err, cached := c.Do("k", func() (int, error) { calls++; return 7, nil })
-	if v != 7 || err != nil || cached {
-		t.Fatalf("retry after error = (%d, %v, %t)", v, err, cached)
+	v, err, outcome := c.DoOutcome("k", func() (int, error) { calls++; return 7, nil })
+	if v != 7 || err != nil || outcome != OutcomeMiss {
+		t.Fatalf("retry after error = (%d, %v, %v)", v, err, outcome)
 	}
 	if calls != 2 {
 		t.Errorf("fn executed %d times, want 2 (errors must not be cached)", calls)
 	}
-	if c.Len() != 1 {
-		t.Errorf("cache holds %d entries", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("cache holds %d entries", n)
 	}
 }
 
@@ -75,8 +75,8 @@ func TestPutRefreshesExistingKey(t *testing.T) {
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("a", 10) // refresh, not a second entry
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("len = %d", n)
 	}
 	if v, _ := c.Get("a"); v != 10 {
 		t.Errorf("a = %d after refresh", v)
@@ -91,8 +91,8 @@ func TestCapacityClamp(t *testing.T) {
 	c := New[int](-3)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if c.Len() != 1 {
-		t.Errorf("len = %d, want 1 (capacity clamped)", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("len = %d, want 1 (capacity clamped)", n)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err, cached := c.Do("k", func() (int, error) {
+			v, err, outcome := c.DoOutcome("k", func() (int, error) {
 				close(entered)
 				<-gate
 				calls.Add(1)
@@ -119,7 +119,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
-			if cached {
+			if outcome != OutcomeMiss {
 				cachedCount.Add(1)
 			}
 			results[i] = v
@@ -139,7 +139,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	}
 	if got := cachedCount.Load(); got != waiters-1 {
 		// Every non-executor either coalesced or (if it arrived after
-		// settle) hit the cache; both report cached=true.
+		// settle) hit the cache; neither reports OutcomeMiss.
 		t.Errorf("%d callers reported cached, want %d", got, waiters-1)
 	}
 	if s := c.Stats(); s.Misses != 1 || s.Hits != waiters-1 {
@@ -155,12 +155,12 @@ func TestPanickingExecutionReleasesWaiters(t *testing.T) {
 		}
 		// Waiters must have been released with an error, and the key must
 		// be retryable.
-		v, err, cached := c.Do("k", func() (int, error) { return 5, nil })
-		if v != 5 || err != nil || cached {
-			t.Errorf("retry after panic = (%d, %v, %t)", v, err, cached)
+		v, err, outcome := c.DoOutcome("k", func() (int, error) { return 5, nil })
+		if v != 5 || err != nil || outcome != OutcomeMiss {
+			t.Errorf("retry after panic = (%d, %v, %v)", v, err, outcome)
 		}
 	}()
-	c.Do("k", func() (int, error) { panic("kaboom") })
+	c.DoOutcome("k", func() (int, error) { panic("kaboom") })
 }
 
 func TestConcurrentMixedOperations(t *testing.T) {
@@ -174,7 +174,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 				key := fmt.Sprintf("k%d", i%13)
 				switch i % 3 {
 				case 0:
-					c.Do(key, func() (string, error) { return key, nil })
+					c.DoOutcome(key, func() (string, error) { return key, nil })
 				case 1:
 					if v, ok := c.Get(key); ok && v != key {
 						t.Errorf("corrupted value %q for %q", v, key)
@@ -186,7 +186,7 @@ func TestConcurrentMixedOperations(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 8 {
+	if n := c.Stats().Entries; n > 8 {
 		t.Errorf("capacity exceeded: %d", n)
 	}
 }
@@ -204,13 +204,13 @@ func TestSettleDoesNotClobberFresherValue(t *testing.T) {
 	var flightVal string
 	go func() {
 		defer close(done)
-		v, err, cached := c.Do("k", func() (string, error) {
+		v, err, outcome := c.DoOutcome("k", func() (string, error) {
 			close(executing)
 			<-release
 			return "stale", nil
 		})
-		if err != nil || cached {
-			t.Errorf("Do = (%q, %v, %t), want fresh execution", v, err, cached)
+		if err != nil || outcome != OutcomeMiss {
+			t.Errorf("DoOutcome = (%q, %v, %v), want fresh execution", v, err, outcome)
 		}
 		flightVal = v
 	}()
@@ -232,8 +232,8 @@ func TestSettleDoesNotClobberFresherValue(t *testing.T) {
 // no competing write, the settling flight's value becomes resident.
 func TestSettleStoresWhenNothingFresherExists(t *testing.T) {
 	c := New[int](4)
-	if v, err, _ := c.Do("k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
-		t.Fatalf("Do = (%d, %v)", v, err)
+	if v, err, _ := c.DoOutcome("k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("DoOutcome = (%d, %v)", v, err)
 	}
 	if v, ok := c.Get("k"); !ok || v != 7 {
 		t.Errorf("cache holds (%d, %t), want the settled 7", v, ok)

@@ -24,26 +24,6 @@ func (s NodeSet) Add(id NodeID) {
 	s[uint(id)>>6] |= 1 << (uint(id) & 63)
 }
 
-// Remove deletes id if present.
-func (s NodeSet) Remove(id NodeID) {
-	w := uint(id) >> 6
-	if int(w) < len(s) {
-		s[w] &^= 1 << (uint(id) & 63)
-	}
-}
-
-// Clear empties the set in place, keeping its capacity.
-func (s NodeSet) Clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// Clone returns an independent copy of the set.
-func (s NodeSet) Clone() NodeSet {
-	return append(NodeSet(nil), s...)
-}
-
 // Len returns the number of members.
 func (s NodeSet) Len() int {
 	n := 0
@@ -51,15 +31,4 @@ func (s NodeSet) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// ForEach invokes fn for every member in ascending id order.
-func (s NodeSet) ForEach(fn func(NodeID)) {
-	for wi, w := range s {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(NodeID(wi*64 + b))
-			w &= w - 1
-		}
-	}
 }

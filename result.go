@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -161,7 +162,7 @@ func newResult(g topology.Graph, out protocol.Outcome, m materialized) Result {
 		Decisions:  make(map[Node]Decision, g.Size()),
 	}
 	if len(m.faulty) > 0 {
-		res.MaxFaultsPerNbd = maxPerNbd(g, m.faulty)
+		res.MaxFaultsPerNbd = fault.MaxPerNeighborhood(g, m.faulty)
 		res.Faulty = make([]Node, len(m.faulty))
 		for i, id := range m.faulty {
 			x, y := g.Label(id)
@@ -173,9 +174,4 @@ func newResult(g topology.Graph, out protocol.Outcome, m materialized) Result {
 		res.Decisions[Node{X: x, Y: y}] = Decision(d)
 	}
 	return res
-}
-
-// maxPerNbd delegates to the fault package's exhaustive validator.
-func maxPerNbd(g topology.Graph, faulty []topology.NodeID) int {
-	return faultMaxPerNeighborhood(g, faulty)
 }
