@@ -27,8 +27,7 @@ func main() {
 }
 
 // run parses args, runs the scenario and writes the report to stdout.
-// -metric, -protocol and -strategy take the wire names of rbcast's
-// encoding (encode.go).
+// -metric, -protocol and -strategy take the wire names of rbcast's enums.
 func run(args []string, stdout, stderr io.Writer) error {
 	var cfg rbcast.Config
 	var plan rbcast.FaultPlan

@@ -32,198 +32,72 @@ import (
 	"repro/internal/protocol"
 )
 
-// MarshalText encodes the protocol name ("flood", "cpa", "bv4", "bv2",
-// "bracha", "bracha-auth"). The zero value encodes as "".
-func (p Protocol) MarshalText() ([]byte, error) {
-	return enumText("protocol", int(p), p.String())
+// enumTable is the one name table of a public enum: entries[i] holds the
+// wire name of value i+1 and, for the enums that select an internal one,
+// the internal value that name stands for. Zero has no entry. Each enum's
+// String, MarshalText and UnmarshalText are one call into its table, so
+// every name is spelled once.
+type enumTable[E ~int, I any] struct {
+	typ     string // the Go type, for String's "Protocol(9)" fallback
+	noun    string // the enum as error texts name it
+	entries []enumEntry[I]
 }
 
-// UnmarshalText decodes a protocol name; "" restores the zero value.
-func (p *Protocol) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*p = 0
-	case "flood":
-		*p = ProtocolFlood
-	case "cpa":
-		*p = ProtocolCPA
-	case "bv4":
-		*p = ProtocolBV4
-	case "bv2":
-		*p = ProtocolBV2
-	case "bracha":
-		*p = ProtocolBracha
-	case "bracha-auth":
-		*p = ProtocolBrachaAuth
-	default:
-		return fmt.Errorf("rbcast: unknown protocol %q", text)
+// enumEntry is one value's wire name and the internal value it selects.
+type enumEntry[I any] struct {
+	name  string
+	value I
+}
+
+// lookup returns v's entry; zero and out-of-range values have none.
+func (t *enumTable[E, I]) lookup(v E) (enumEntry[I], bool) {
+	if v < 1 || int(v) > len(t.entries) {
+		return enumEntry[I]{}, false
 	}
-	return nil
+	return t.entries[v-1], true
 }
 
-// MarshalText encodes the topology family name ("torus", "rgg", "custom").
-// The zero value encodes as "".
-func (t Topology) MarshalText() ([]byte, error) {
-	return enumText("topology", int(t), t.String())
+// value returns the internal value v selects.
+func (t *enumTable[E, I]) value(v E) (I, bool) {
+	e, ok := t.lookup(v)
+	return e.value, ok
 }
 
-// UnmarshalText decodes a topology family name; "" restores the zero value.
-func (t *Topology) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*t = 0
-	case "torus":
-		*t = TopologyTorus
-	case "rgg":
-		*t = TopologyRGG
-	case "custom":
-		*t = TopologyCustom
-	default:
-		return fmt.Errorf("rbcast: unknown topology %q", text)
+// name is String: v's wire name, or for any other value the "Type(n)"
+// spelling an invalid job's fingerprint embeds.
+func (t *enumTable[E, I]) name(v E) string {
+	if e, ok := t.lookup(v); ok {
+		return e.name
 	}
-	return nil
+	return fmt.Sprintf("%s(%d)", t.typ, int(v))
 }
 
-// MarshalText encodes the metric name ("linf", "l2"). The zero value
-// encodes as "".
-func (m Metric) MarshalText() ([]byte, error) {
-	return enumText("metric", int(m), m.String())
-}
-
-// UnmarshalText decodes a metric name; "" restores the zero value.
-func (m *Metric) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*m = 0
-	case "linf":
-		*m = MetricLinf
-	case "l2":
-		*m = MetricL2
-	default:
-		return fmt.Errorf("rbcast: unknown metric %q", text)
+// marshal is MarshalText: zero encodes as "", and an invalid value is an
+// encoding error rather than a payload that could never decode.
+func (t *enumTable[E, I]) marshal(v E) ([]byte, error) {
+	if v == 0 {
+		return nil, nil
 	}
-	return nil
-}
-
-// MarshalText encodes the placement name ("none", "band",
-// "checkerboard-band", "greedy-band", "random-bounded", "percolation").
-// The zero value encodes as "".
-func (p Placement) MarshalText() ([]byte, error) {
-	return enumText("placement", int(p), p.String())
-}
-
-// UnmarshalText decodes a placement name; "" restores the zero value.
-func (p *Placement) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*p = 0
-	case "none":
-		*p = PlaceNone
-	case "band":
-		*p = PlaceBand
-	case "checkerboard-band":
-		*p = PlaceCheckerboardBand
-	case "greedy-band":
-		*p = PlaceGreedyBand
-	case "random-bounded":
-		*p = PlaceRandomBounded
-	case "percolation":
-		*p = PlacePercolation
-	default:
-		return fmt.Errorf("rbcast: unknown placement %q", text)
+	e, ok := t.lookup(v)
+	if !ok {
+		return nil, fmt.Errorf("rbcast: cannot encode invalid %s %d", t.noun, int(v))
 	}
-	return nil
+	return []byte(e.name), nil
 }
 
-// MarshalText encodes the strategy name ("crash", "silent", "liar",
-// "forger", "spoofer", "equivocator"). The zero value encodes as "".
-func (s Strategy) MarshalText() ([]byte, error) {
-	return enumText("strategy", int(s), s.String())
-}
-
-// UnmarshalText decodes a strategy name; "" restores the zero value.
-func (s *Strategy) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*s = 0
-	case "crash":
-		*s = StrategyCrash
-	case "silent":
-		*s = StrategySilent
-	case "liar":
-		*s = StrategyLiar
-	case "forger":
-		*s = StrategyForger
-	case "spoofer":
-		*s = StrategySpoofer
-	case "equivocator":
-		*s = StrategyEquivocator
-	default:
-		return fmt.Errorf("rbcast: unknown strategy %q", text)
+// unmarshal is UnmarshalText: "" restores the zero value.
+func (t *enumTable[E, I]) unmarshal(text []byte, v *E) error {
+	if len(text) == 0 {
+		*v = 0
+		return nil
 	}
-	return nil
-}
-
-// MarshalText encodes the event kind name ("broadcast", "delivery",
-// "evidence-eval", "crash", "spoof", "commit"). The zero value encodes as
-// "".
-func (k EventKind) MarshalText() ([]byte, error) {
-	return enumText("event kind", int(k), k.String())
-}
-
-// UnmarshalText decodes an event kind name; "" restores the zero value.
-func (k *EventKind) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*k = 0
-	case "broadcast":
-		*k = EventBroadcast
-	case "delivery":
-		*k = EventDelivery
-	case "evidence-eval":
-		*k = EventEvidenceEval
-	case "crash":
-		*k = EventCrash
-	case "spoof":
-		*k = EventSpoof
-	case "commit":
-		*k = EventCommit
-	default:
-		return fmt.Errorf("rbcast: unknown event kind %q", text)
+	for i, e := range t.entries {
+		if e.name == string(text) {
+			*v = E(i + 1)
+			return nil
+		}
 	}
-	return nil
-}
-
-// MarshalText encodes the commit rule name ("source", "direct", "quorum",
-// "disjoint-chains", "votes", "flood", "ready-quorum"). The zero value
-// encodes as "".
-func (r CommitRule) MarshalText() ([]byte, error) {
-	return enumText("commit rule", int(r), r.String())
-}
-
-// UnmarshalText decodes a commit rule name; "" restores the zero value.
-func (r *CommitRule) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*r = 0
-	case "source":
-		*r = RuleSource
-	case "direct":
-		*r = RuleDirect
-	case "quorum":
-		*r = RuleQuorum
-	case "disjoint-chains":
-		*r = RuleDisjointChains
-	case "votes":
-		*r = RuleVotes
-	case "flood":
-		*r = RuleFlood
-	case "ready-quorum":
-		*r = RuleReadyQuorum
-	default:
-		return fmt.Errorf("rbcast: unknown commit rule %q", text)
-	}
-	return nil
+	return fmt.Errorf("rbcast: unknown %s %q", t.noun, text)
 }
 
 // EncodeTrace writes the events as JSON Lines: one compact JSON object per
@@ -268,20 +142,6 @@ func DecodeTrace(r io.Reader) ([]TraceEvent, error) {
 		return nil, fmt.Errorf("rbcast: reading trace: %w", err)
 	}
 	return events, nil
-}
-
-// enumText is the shared MarshalText body: zero encodes as "", names pass
-// through, and the String() fallback spelling for out-of-range values
-// (which always contains a parenthesis) is an encoding error rather than a
-// payload that could never decode.
-func enumText(kind string, raw int, name string) ([]byte, error) {
-	if raw == 0 {
-		return nil, nil
-	}
-	if strings.ContainsRune(name, '(') {
-		return nil, fmt.Errorf("rbcast: cannot encode invalid %s %d", kind, raw)
-	}
-	return []byte(name), nil
 }
 
 // MarshalText encodes the node as "x,y", which also makes Node usable as a

@@ -199,6 +199,40 @@ func TestEnumTextRoundTripExhaustive(t *testing.T) {
 	}
 }
 
+// TestEnumStringFallback pins String's spelling of the values no name
+// table entry covers: zero, a negative value and one past the last name.
+// An invalid job's fingerprint embeds that spelling, so it is part of the
+// cache key.
+func TestEnumStringFallback(t *testing.T) {
+	for _, tt := range []struct{ got, want string }{
+		{Protocol(0).String(), "Protocol(0)"},
+		{Protocol(-1).String(), "Protocol(-1)"},
+		{Protocol(7).String(), "Protocol(7)"},
+		{Topology(0).String(), "Topology(0)"},
+		{Topology(-1).String(), "Topology(-1)"},
+		{Topology(4).String(), "Topology(4)"},
+		{Metric(0).String(), "Metric(0)"},
+		{Metric(-1).String(), "Metric(-1)"},
+		{Metric(3).String(), "Metric(3)"},
+		{Placement(0).String(), "Placement(0)"},
+		{Placement(-1).String(), "Placement(-1)"},
+		{Placement(7).String(), "Placement(7)"},
+		{Strategy(0).String(), "Strategy(0)"},
+		{Strategy(-1).String(), "Strategy(-1)"},
+		{Strategy(7).String(), "Strategy(7)"},
+		{EventKind(0).String(), "EventKind(0)"},
+		{EventKind(-1).String(), "EventKind(-1)"},
+		{EventKind(7).String(), "EventKind(7)"},
+		{CommitRule(0).String(), "CommitRule(0)"},
+		{CommitRule(-1).String(), "CommitRule(-1)"},
+		{CommitRule(8).String(), "CommitRule(8)"},
+	} {
+		if tt.got != tt.want {
+			t.Errorf("String() = %q, want %q", tt.got, tt.want)
+		}
+	}
+}
+
 func TestEnumTextRejectsInvalid(t *testing.T) {
 	if _, err := Protocol(99).MarshalText(); err == nil {
 		t.Error("invalid protocol must not marshal")

@@ -34,26 +34,24 @@ const (
 	PlacePercolation
 )
 
-// String names the placement ("none", "band", "checkerboard-band",
-// "greedy-band", "random-bounded", "percolation").
-func (p Placement) String() string {
-	switch p {
-	case PlaceNone:
-		return "none"
-	case PlaceBand:
-		return "band"
-	case PlaceCheckerboardBand:
-		return "checkerboard-band"
-	case PlaceGreedyBand:
-		return "greedy-band"
-	case PlaceRandomBounded:
-		return "random-bounded"
-	case PlacePercolation:
-		return "percolation"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
+// placementNames is Placement's name table.
+var placementNames = enumTable[Placement, struct{}]{"Placement", "placement", []enumEntry[struct{}]{
+	{name: "none"},
+	{name: "band"},
+	{name: "checkerboard-band"},
+	{name: "greedy-band"},
+	{name: "random-bounded"},
+	{name: "percolation"},
+}}
+
+// String names the placement.
+func (p Placement) String() string { return placementNames.name(p) }
+
+// MarshalText encodes the placement's name. The zero value encodes as "".
+func (p Placement) MarshalText() ([]byte, error) { return placementNames.marshal(p) }
+
+// UnmarshalText decodes a placement name; "" restores the zero value.
+func (p *Placement) UnmarshalText(text []byte) error { return placementNames.unmarshal(text, p) }
 
 // Strategy selects Byzantine behaviour for the corrupted nodes. For
 // crash-stop experiments use StrategyCrash.
@@ -81,26 +79,25 @@ const (
 	StrategyEquivocator
 )
 
-// String names the strategy ("crash", "silent", "liar", "forger",
-// "spoofer", "equivocator").
-func (s Strategy) String() string {
-	switch s {
-	case StrategyCrash:
-		return "crash"
-	case StrategySilent:
-		return "silent"
-	case StrategyLiar:
-		return "liar"
-	case StrategyForger:
-		return "forger"
-	case StrategySpoofer:
-		return "spoofer"
-	case StrategyEquivocator:
-		return "equivocator"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
+// strategyNames is Strategy's name table: the wire name of each value and
+// the Byzantine behaviour it selects (none for crash-stop).
+var strategyNames = enumTable[Strategy, fault.Strategy]{"Strategy", "strategy", []enumEntry[fault.Strategy]{
+	{"crash", 0},
+	{"silent", fault.Silent},
+	{"liar", fault.Liar},
+	{"forger", fault.Forger},
+	{"spoofer", fault.Spoofer},
+	{"equivocator", fault.Equivocator},
+}}
+
+// String names the strategy.
+func (s Strategy) String() string { return strategyNames.name(s) }
+
+// MarshalText encodes the strategy's name. The zero value encodes as "".
+func (s Strategy) MarshalText() ([]byte, error) { return strategyNames.marshal(s) }
+
+// UnmarshalText decodes a strategy name; "" restores the zero value.
+func (s *Strategy) UnmarshalText(text []byte) error { return strategyNames.unmarshal(text, s) }
 
 // FaultPlan describes the adversary for one run. The JSON encoding (see
 // encode.go) uses snake_case keys and stable enum names, omits zero-valued
@@ -189,29 +186,17 @@ func (p FaultPlan) materialize(g topology.Graph, source topology.NodeID) (materi
 	if strategy == 0 {
 		strategy = StrategyCrash
 	}
-	switch strategy {
-	case StrategyCrash:
+	fs, ok := strategyNames.value(strategy)
+	switch {
+	case !ok:
+		return materialized{}, fmt.Errorf("rbcast: invalid strategy %d", int(strategy))
+	case strategy == StrategyCrash:
 		out.crash = crashSchedule(ids, p.CrashRound)
-	case StrategySilent, StrategyLiar, StrategyForger, StrategySpoofer, StrategyEquivocator:
-		var fs fault.Strategy
-		switch strategy {
-		case StrategySilent:
-			fs = fault.Silent
-		case StrategyLiar:
-			fs = fault.Liar
-		case StrategyForger:
-			fs = fault.Forger
-		case StrategyEquivocator:
-			fs = fault.Equivocator
-		default:
-			fs = fault.Spoofer
-		}
+	default:
 		out.byzantine = make(map[topology.NodeID]fault.Strategy, len(ids))
 		for _, id := range ids {
 			out.byzantine[id] = fs
 		}
-	default:
-		return materialized{}, fmt.Errorf("rbcast: invalid strategy %d", int(strategy))
 	}
 	return out, nil
 }

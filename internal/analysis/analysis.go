@@ -198,6 +198,7 @@ func BV4Closure(net *topology.Network, ft *evidence.FamilyTable, source topology
 			commit(v)
 		}
 	}
+	tally := centerTally{count: make([]int32, net.Size())}
 	for {
 		changed := false
 		for id := 0; id < net.Size(); id++ {
@@ -205,7 +206,7 @@ func BV4Closure(net *topology.Network, ft *evidence.FamilyTable, source topology
 			if isF[u] || pred.Committed[u] {
 				continue
 			}
-			if bv4CanCommit(net, ft, u, isF, pred.Committed, t) {
+			if bv4CanCommit(net, ft, u, isF, pred.Committed, t, &tally) {
 				commit(u)
 				changed = true
 			}
@@ -218,11 +219,37 @@ func BV4Closure(net *topology.Network, ft *evidence.FamilyTable, source topology
 	return pred, nil
 }
 
+// centerTally counts reliably-determined committers per closed-neighborhood
+// center for one bv4CanCommit call. It is indexed by node id, so two
+// offsets that wrap onto one center on a torus narrower than 6r+1 count
+// together, and reset zeroes only the centers the call touched, so one
+// tally serves a whole closure.
+type centerTally struct {
+	count   []int32
+	touched []topology.NodeID
+}
+
+// add counts one committer for center and returns the center's count.
+func (c *centerTally) add(center topology.NodeID) int32 {
+	if c.count[center] == 0 {
+		c.touched = append(c.touched, center)
+	}
+	c.count[center]++
+	return c.count[center]
+}
+
+// reset zeroes the touched centers.
+func (c *centerTally) reset() {
+	for _, id := range c.touched {
+		c.count[id] = 0
+	}
+	c.touched = c.touched[:0]
+}
+
 // bv4CanCommit applies the §VI commit rule for one node against the
-// guaranteed-committed set.
-func bv4CanCommit(net *topology.Network, ft *evidence.FamilyTable, u topology.NodeID, isF, committed []bool, t int) bool {
-	// Count reliably-determined committers per closed-neighborhood center.
-	counters := make(map[topology.NodeID]int)
+// guaranteed-committed set, counting in tally, which it leaves zeroed.
+func bv4CanCommit(net *topology.Network, ft *evidence.FamilyTable, u topology.NodeID, isF, committed []bool, t int, tally *centerTally) bool {
+	defer tally.reset()
 	uc := net.CoordOf(u)
 	tor := net.Torus()
 	// Candidate origins: honest committed nodes within L∞ distance 2r
@@ -239,8 +266,7 @@ func bv4CanCommit(net *topology.Network, ft *evidence.FamilyTable, u topology.No
 				continue
 			}
 			for _, center := range net.ClosedNbdIDs(net.CoordOf(origin)) {
-				counters[center]++
-				if counters[center] >= t+1 {
+				if int(tally.add(center)) >= t+1 {
 					return true
 				}
 			}

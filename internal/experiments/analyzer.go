@@ -56,10 +56,18 @@ func runE24Analyzer() (Report, error) {
 		return rep, err
 	}
 	random = removeID(random, src)
+	// At Koo's bound direct hearing alone stalls BV4; the closure agrees
+	// with the simulator only through its designated-path term.
+	koo, err := fault.RandomBounded(net, bounds.MinImpossibleByzantineLinf(r), -1, 6)
+	if err != nil {
+		return rep, err
+	}
+	koo = removeID(koo, src)
 	scenarios := []scenario{
 		{"fault-free", nil, bounds.MaxByzantineLinf(r)},
 		{"random band budget", random, bounds.MaxByzantineLinf(r)},
 		{"Fig 13 checkerboard", band, bounds.MinImpossibleByzantineLinf(r)},
+		{"random, Koo's bound", koo, bounds.MinImpossibleByzantineLinf(r)},
 	}
 
 	check := func(name, scen string, pred analysis.Prediction, res sim.Result) error {

@@ -398,45 +398,8 @@ func runE17Percolation() (Report, error) {
 		return rep, err
 	}
 	src := net.IDOf(grid.C(0, 0))
-	var fractions []float64
-	probs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 	const runs = 5
-	for _, pf := range probs {
-		sum := 0.0
-		for seed := int64(0); seed < runs; seed++ {
-			faulty, err := fault.Percolation(net, pf, src, seed)
-			if err != nil {
-				return rep, err
-			}
-			out, err := protocol.Run(protocol.RunConfig{
-				Kind:   protocol.Flood,
-				Params: protocol.Params{Net: net, Source: src, Value: 1},
-				Crash:  crashMap(faulty),
-			})
-			if err != nil {
-				return rep, err
-			}
-			sum += float64(out.Correct) / float64(out.Honest)
-		}
-		mean := sum / runs
-		fractions = append(fractions, mean)
-		rep.Rows = append(rep.Rows, []string{ftoa(pf), itoa(runs), ftoa(mean)})
-	}
-	// Monotone degradation and a sharp drop across the sweep.
-	for i := 1; i < len(fractions); i++ {
-		if fractions[i] > fractions[i-1]+0.05 {
-			rep.Pass = false
-		}
-	}
-	if fractions[0] < 0.9 || fractions[len(fractions)-1] > 0.5 {
-		rep.Pass = false
-	}
-
-	// Critical-point estimate: bisect for the p_f where the mean delivered
-	// fraction crosses ½. Reliable broadcast under iid crash faults is
-	// site percolation of the working nodes on the king graph (8-neighbor
-	// lattice, site p_c ≈ 0.407), so the failure threshold should sit near
-	// 1 − 0.407 ≈ 0.593.
+	// meanAt is the mean delivered fraction over seeds 0..runs-1.
 	meanAt := func(pf float64) (float64, error) {
 		sum := 0.0
 		for seed := int64(0); seed < runs; seed++ {
@@ -456,6 +419,31 @@ func runE17Percolation() (Report, error) {
 		}
 		return sum / runs, nil
 	}
+	var fractions []float64
+	probs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
+	for _, pf := range probs {
+		mean, err := meanAt(pf)
+		if err != nil {
+			return rep, err
+		}
+		fractions = append(fractions, mean)
+		rep.Rows = append(rep.Rows, []string{ftoa(pf), itoa(runs), ftoa(mean)})
+	}
+	// Monotone degradation and a sharp drop across the sweep.
+	for i := 1; i < len(fractions); i++ {
+		if fractions[i] > fractions[i-1]+0.05 {
+			rep.Pass = false
+		}
+	}
+	if fractions[0] < 0.9 || fractions[len(fractions)-1] > 0.5 {
+		rep.Pass = false
+	}
+
+	// Critical-point estimate: bisect for the p_f where the mean delivered
+	// fraction crosses ½. Reliable broadcast under iid crash faults is
+	// site percolation of the working nodes on the king graph (8-neighbor
+	// lattice, site p_c ≈ 0.407), so the failure threshold should sit near
+	// 1 − 0.407 ≈ 0.593.
 	lo, hi := 0.45, 0.75
 	for i := 0; i < 6; i++ {
 		mid := (lo + hi) / 2

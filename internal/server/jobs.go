@@ -251,11 +251,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			jtr.End(slotSp)
 			defer func() { <-s.runSlots }()
 		}
-		jobs := make([]rbcast.Job, len(req.Jobs))
-		for i, rr := range req.Jobs {
-			jobs[i] = rbcast.Job(rr)
-		}
-		results, _ := s.resolveJobs(jtr, obs.Root, jobs, req.Workers, job)
+		results, _ := s.resolveJobs(jtr, obs.Root, req.Jobs, req.Workers, job)
 		job.finish(results)
 		jtr.Finish(http.StatusOK)
 		s.rec.Record(jtr)

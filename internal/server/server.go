@@ -190,11 +190,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// RunRequest is the /v1/run payload and the element type of /v1/batch.
-type RunRequest struct {
-	Config rbcast.Config    `json:"config"`
-	Plan   rbcast.FaultPlan `json:"plan"`
-}
+// RunRequest is the /v1/run payload and the element type of /v1/batch: a
+// job, {"config": ..., "plan": ...}.
+type RunRequest = rbcast.Job
 
 // RunResponse is the /v1/run response body. The server renders it from
 // the packed cache entry (render.go); the bytes equal json.Marshal of this
@@ -238,8 +236,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job := rbcast.Job{Config: req.Config, Plan: req.Plan}
-	fp := job.Fingerprint()
+	fp := req.Fingerprint()
 	// The cache span's identity is only known once the lookup resolves:
 	// a resident hit, a single-flight wait on another request's
 	// execution, or a miss this request executes (with slot-wait and

@@ -63,11 +63,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec := rbcast.SweepSpec{
-		Base: rbcast.Job{Config: req.Base.Config, Plan: req.Base.Plan},
-		Axes: req.Axes,
-	}
-	elements, err := spec.Elements()
+	elements, err := rbcast.SweepSpec{Base: req.Base, Axes: req.Axes}.Elements()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -26,18 +26,21 @@ const (
 	MetricL2
 )
 
-// String names the metric ("linf", "l2") for logs, cache keys and metric
-// labels.
-func (m Metric) String() string {
-	switch m {
-	case MetricLinf:
-		return "linf"
-	case MetricL2:
-		return "l2"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
+// metricNames is Metric's name table: the wire name of each value and
+// the grid metric it selects.
+var metricNames = enumTable[Metric, grid.Metric]{"Metric", "metric", []enumEntry[grid.Metric]{
+	{"linf", grid.Linf},
+	{"l2", grid.L2},
+}}
+
+// String names the metric for logs, cache keys and metric labels.
+func (m Metric) String() string { return metricNames.name(m) }
+
+// MarshalText encodes the metric's name. The zero value encodes as "".
+func (m Metric) MarshalText() ([]byte, error) { return metricNames.marshal(m) }
+
+// UnmarshalText decodes a metric name; "" restores the zero value.
+func (m *Metric) UnmarshalText(text []byte) error { return metricNames.unmarshal(text, m) }
 
 // Protocol selects a broadcast protocol.
 type Protocol int
@@ -68,25 +71,25 @@ const (
 	ProtocolBrachaAuth
 )
 
+// protocolNames is Protocol's name table: the wire name of each value and
+// the internal protocol it selects.
+var protocolNames = enumTable[Protocol, protocol.Kind]{"Protocol", "protocol", []enumEntry[protocol.Kind]{
+	{"flood", protocol.Flood},
+	{"cpa", protocol.CPA},
+	{"bv4", protocol.BV4},
+	{"bv2", protocol.BV2},
+	{"bracha", protocol.Bracha},
+	{"bracha-auth", protocol.BrachaAuth},
+}}
+
 // String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolFlood:
-		return "flood"
-	case ProtocolCPA:
-		return "cpa"
-	case ProtocolBV4:
-		return "bv4"
-	case ProtocolBV2:
-		return "bv2"
-	case ProtocolBracha:
-		return "bracha"
-	case ProtocolBrachaAuth:
-		return "bracha-auth"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
+func (p Protocol) String() string { return protocolNames.name(p) }
+
+// MarshalText encodes the protocol's name. The zero value encodes as "".
+func (p Protocol) MarshalText() ([]byte, error) { return protocolNames.marshal(p) }
+
+// UnmarshalText decodes a protocol name; "" restores the zero value.
+func (p *Protocol) UnmarshalText(text []byte) error { return protocolNames.unmarshal(text, p) }
 
 // Config describes a broadcast scenario. The JSON encoding (see encode.go)
 // uses snake_case keys and stable enum names, omits zero-valued fields, and
@@ -216,22 +219,11 @@ func (c Config) validate() error {
 
 // kind maps the public protocol enum to the internal one.
 func (c Config) kind() (protocol.Kind, error) {
-	switch c.Protocol {
-	case ProtocolFlood:
-		return protocol.Flood, nil
-	case ProtocolCPA:
-		return protocol.CPA, nil
-	case ProtocolBV4:
-		return protocol.BV4, nil
-	case ProtocolBV2:
-		return protocol.BV2, nil
-	case ProtocolBracha:
-		return protocol.Bracha, nil
-	case ProtocolBrachaAuth:
-		return protocol.BrachaAuth, nil
-	default:
+	k, ok := protocolNames.value(c.Protocol)
+	if !ok {
 		return 0, fmt.Errorf("rbcast: invalid protocol %d", int(c.Protocol))
 	}
+	return k, nil
 }
 
 // quorum reports whether the protocol is of the global-quorum family, whose
@@ -457,12 +449,9 @@ func ApproxImpossibleCrashL2(r int) int { return bounds.ApproxImpossibleCrashL2(
 // and radius — the denominator of the paper's "fraction of a neighborhood"
 // statements.
 func NeighborhoodSize(m Metric, r int) (int, error) {
-	switch m {
-	case MetricLinf:
-		return grid.Linf.ClosedBallSize(r), nil
-	case MetricL2:
-		return grid.L2.ClosedBallSize(r), nil
-	default:
+	gm, ok := metricNames.value(m)
+	if !ok {
 		return 0, fmt.Errorf("rbcast: invalid metric %d", int(m))
 	}
+	return gm.ClosedBallSize(r), nil
 }

@@ -9,10 +9,9 @@ package rbcast
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"repro/internal/grid"
+	"repro/internal/scache"
 	"repro/internal/topology"
 )
 
@@ -37,19 +36,21 @@ const (
 	TopologyCustom
 )
 
-// String names the topology family ("torus", "rgg", "custom").
-func (t Topology) String() string {
-	switch t {
-	case TopologyTorus:
-		return "torus"
-	case TopologyRGG:
-		return "rgg"
-	case TopologyCustom:
-		return "custom"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
-}
+// topologyNames is Topology's name table.
+var topologyNames = enumTable[Topology, struct{}]{"Topology", "topology", []enumEntry[struct{}]{
+	{name: "torus"},
+	{name: "rgg"},
+	{name: "custom"},
+}}
+
+// String names the topology family.
+func (t Topology) String() string { return topologyNames.name(t) }
+
+// MarshalText encodes the family's name. The zero value encodes as "".
+func (t Topology) MarshalText() ([]byte, error) { return topologyNames.marshal(t) }
+
+// UnmarshalText decodes a topology family name; "" restores the zero value.
+func (t *Topology) UnmarshalText(text []byte) error { return topologyNames.unmarshal(text, t) }
 
 // GraphSpec is the explicit adjacency list of a TopologyCustom network.
 // Nodes are identified by dense indices 0..Nodes-1; every edge is an
@@ -91,7 +92,7 @@ func (c Config) validateTopology() error {
 			return fmt.Errorf("rbcast: Source identifies non-torus sources; use SourceX/SourceY on the torus")
 		}
 	case TopologyRGG:
-		if err := c.rejectTorusFields("rgg"); err != nil {
+		if err := c.rejectTorusFields(); err != nil {
 			return err
 		}
 		if c.Graph != nil {
@@ -104,7 +105,7 @@ func (c Config) validateTopology() error {
 			return fmt.Errorf("rbcast: rgg topology needs RGGRadius in (0, 1], got %v", c.RGGRadius)
 		}
 	case TopologyCustom:
-		if err := c.rejectTorusFields("custom"); err != nil {
+		if err := c.rejectTorusFields(); err != nil {
 			return err
 		}
 		if c.Nodes != 0 || c.RGGRadius != 0 || c.TopologySeed != 0 {
@@ -134,7 +135,8 @@ func (c Config) validateTopology() error {
 
 // rejectTorusFields names the first torus-only field set alongside a
 // non-torus family.
-func (c Config) rejectTorusFields(family string) error {
+func (c Config) rejectTorusFields() error {
+	family := c.family()
 	switch {
 	case c.Width != 0:
 		return fmt.Errorf("rbcast: Width configures the torus topology, not %s", family)
@@ -150,29 +152,22 @@ func (c Config) rejectTorusFields(family string) error {
 	return nil
 }
 
-// networkKey identifies a torus topology by its constructor parameters.
-type networkKey struct {
-	w, h, r int
-	metric  grid.Metric
-}
+// networkCacheSize bounds networks. A 32×32 r = 2 torus costs about half
+// a flood run on it to build, so a repeated network is worth keeping; the
+// bound stops a stream of distinct parameters, say rgg seeds from rbcastd
+// clients, from growing the process without limit.
+const networkCacheSize = 64
 
-// rggKey identifies a random geometric graph by its constructor parameters.
-// The radius is keyed by its exact bit pattern so no two distinct values
-// share an entry.
-type rggKey struct {
-	n          int
-	radiusBits uint64
-	seed       int64
-}
-
-// networkCache shares immutable graphs across runs: the adjacency and
+// networks shares immutable graphs across runs: the adjacency and
 // closed-neighborhood rows are precomputed once per distinct constructor
-// parameters and reused by every subsequent Run/RunSweepJobs call — including
-// rbcastd cache misses, which repeatedly rebuild the same networks. Torus
-// and rgg graphs are cached (their keys are tiny); custom graphs are not —
-// their defining payload is the adjacency list itself, so caching would key
-// a potentially huge map by a potentially huge key for no construction win.
-var networkCache sync.Map // networkKey | rggKey -> topology.Graph
+// parameters and reused by every later Run/RunSweepJobs call, including
+// rbcastd cache misses, which repeatedly rebuild the same networks. It is
+// an LRU keyed by those parameters, so the least recently used network
+// goes first. Torus and rgg graphs are cached (their keys are tiny);
+// custom graphs are not: their defining payload is the adjacency list
+// itself, so caching would key a potentially huge graph by a potentially
+// huge key for no construction win.
+var networks = scache.New[topology.Graph](networkCacheSize)
 
 // network builds (or fetches the shared precomputed) topology for the config.
 func (c Config) network() (topology.Graph, error) {
@@ -180,16 +175,18 @@ func (c Config) network() (topology.Graph, error) {
 	case TopologyTorus:
 		return c.torusNetwork()
 	case TopologyRGG:
-		key := rggKey{n: c.Nodes, radiusBits: math.Float64bits(c.RGGRadius), seed: c.TopologySeed}
-		if v, ok := networkCache.Load(key); ok {
-			return v.(topology.Graph), nil
-		}
-		g, err := topology.NewGeometric(c.Nodes, c.RGGRadius, c.TopologySeed)
-		if err != nil {
-			return nil, err
-		}
-		actual, _ := networkCache.LoadOrStore(key, topology.Graph(g))
-		return actual.(topology.Graph), nil
+		var buf [64]byte
+		key := appendInt(buf[:0], "rgg:", c.Nodes)
+		key = appendFloat(key, ",", c.RGGRadius) // exact; -0 and 0 build one graph
+		key = appendInt(key, ",", c.TopologySeed)
+		g, err, _ := networks.DoOutcome(string(key), func() (topology.Graph, error) {
+			g, err := topology.NewGeometric(c.Nodes, c.RGGRadius, c.TopologySeed)
+			if err != nil {
+				return nil, err
+			}
+			return g, nil
+		})
+		return g, err
 	case TopologyCustom:
 		return topology.NewCustom(c.Graph.Nodes, c.Graph.Edges)
 	default:
@@ -199,24 +196,30 @@ func (c Config) network() (topology.Graph, error) {
 
 // torusNetwork builds (or fetches) the torus family's network.
 func (c Config) torusNetwork() (*topology.Network, error) {
-	m := grid.Linf
-	switch c.Metric {
-	case 0, MetricLinf:
-	case MetricL2:
-		m = grid.L2
-	default:
+	metric := c.Metric
+	if metric == 0 {
+		metric = MetricLinf
+	}
+	m, ok := metricNames.value(metric)
+	if !ok {
 		return nil, fmt.Errorf("rbcast: invalid metric %d", int(c.Metric))
 	}
-	key := networkKey{w: c.Width, h: c.Height, r: c.Radius, metric: m}
-	if v, ok := networkCache.Load(key); ok {
-		return v.(*topology.Network), nil
-	}
-	net, err := topology.New(grid.Torus{W: c.Width, H: c.Height}, m, c.Radius)
+	var buf [64]byte
+	key := appendInt(buf[:0], "torus:", c.Width)
+	key = appendInt(key, "x", c.Height)
+	key = appendInt(key, ",", c.Radius)
+	key = appendString(key, ",", metric.String())
+	g, err, _ := networks.DoOutcome(string(key), func() (topology.Graph, error) {
+		net, err := topology.New(grid.Torus{W: c.Width, H: c.Height}, m, c.Radius)
+		if err != nil {
+			return nil, err
+		}
+		return net, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := networkCache.LoadOrStore(key, net)
-	return actual.(*topology.Network), nil
+	return g.(*topology.Network), nil
 }
 
 // sourceID resolves the configured source to a node id on the materialized

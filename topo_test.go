@@ -119,6 +119,34 @@ func TestNonTorusSourceResolution(t *testing.T) {
 	}
 }
 
+// TestNetworkCacheIsBounded pins the shared network cache's bound: twice
+// its capacity of distinct rgg seeds leaves at most the capacity resident,
+// and a repeated torus config is still served from the cache rather than
+// rebuilt.
+func TestNetworkCacheIsBounded(t *testing.T) {
+	for seed := int64(1); seed <= 2*networkCacheSize; seed++ {
+		cfg := Config{Topology: TopologyRGG, Nodes: 16, RGGRadius: 0.3, TopologySeed: seed}
+		if _, err := cfg.network(); err != nil {
+			t.Fatalf("rgg seed %d: %v", seed, err)
+		}
+	}
+	if n := networks.Stats().Entries; n > networkCacheSize {
+		t.Errorf("%d networks resident after %d distinct rgg seeds, want at most %d", n, 2*networkCacheSize, networkCacheSize)
+	}
+	torus := Config{Width: 9, Height: 7, Radius: 1}
+	first, err := torus.torusNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := torus.torusNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("a repeated torus config rebuilt its network instead of reading the cache")
+	}
+}
+
 // TestTorusOnlyRejectionFormat pins the one canonical message format shared
 // by every torus-only gate — the Config protocol gate, the placement gate,
 // and the internal protocol factory — as exact strings: the requesting

@@ -9,7 +9,6 @@ package rbcast
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/etrace"
@@ -40,26 +39,24 @@ const (
 	EventCommit
 )
 
-// String names the kind ("broadcast", "delivery", "evidence-eval",
-// "crash", "spoof", "commit").
-func (k EventKind) String() string {
-	switch k {
-	case EventBroadcast:
-		return "broadcast"
-	case EventDelivery:
-		return "delivery"
-	case EventEvidenceEval:
-		return "evidence-eval"
-	case EventCrash:
-		return "crash"
-	case EventSpoof:
-		return "spoof"
-	case EventCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
+// eventKindNames is EventKind's name table.
+var eventKindNames = enumTable[EventKind, struct{}]{"EventKind", "event kind", []enumEntry[struct{}]{
+	{name: "broadcast"},
+	{name: "delivery"},
+	{name: "evidence-eval"},
+	{name: "crash"},
+	{name: "spoof"},
+	{name: "commit"},
+}}
+
+// String names the kind.
+func (k EventKind) String() string { return eventKindNames.name(k) }
+
+// MarshalText encodes the kind's name. The zero value encodes as "".
+func (k EventKind) MarshalText() ([]byte, error) { return eventKindNames.marshal(k) }
+
+// UnmarshalText decodes an event kind name; "" restores the zero value.
+func (k *EventKind) UnmarshalText(text []byte) error { return eventKindNames.unmarshal(text, k) }
 
 // CommitRule identifies which commit rule a certificate satisfied.
 type CommitRule int
@@ -85,28 +82,25 @@ const (
 	RuleReadyQuorum
 )
 
-// String names the rule ("source", "direct", "quorum", "disjoint-chains",
-// "votes", "flood", "ready-quorum").
-func (r CommitRule) String() string {
-	switch r {
-	case RuleSource:
-		return "source"
-	case RuleDirect:
-		return "direct"
-	case RuleQuorum:
-		return "quorum"
-	case RuleDisjointChains:
-		return "disjoint-chains"
-	case RuleVotes:
-		return "votes"
-	case RuleFlood:
-		return "flood"
-	case RuleReadyQuorum:
-		return "ready-quorum"
-	default:
-		return fmt.Sprintf("CommitRule(%d)", int(r))
-	}
-}
+// commitRuleNames is CommitRule's name table.
+var commitRuleNames = enumTable[CommitRule, struct{}]{"CommitRule", "commit rule", []enumEntry[struct{}]{
+	{name: "source"},
+	{name: "direct"},
+	{name: "quorum"},
+	{name: "disjoint-chains"},
+	{name: "votes"},
+	{name: "flood"},
+	{name: "ready-quorum"},
+}}
+
+// String names the rule.
+func (r CommitRule) String() string { return commitRuleNames.name(r) }
+
+// MarshalText encodes the rule's name. The zero value encodes as "".
+func (r CommitRule) MarshalText() ([]byte, error) { return commitRuleNames.marshal(r) }
+
+// UnmarshalText decodes a commit rule name; "" restores the zero value.
+func (r *CommitRule) UnmarshalText(text []byte) error { return commitRuleNames.unmarshal(text, r) }
 
 // TraceMessage is the protocol message carried by a broadcast or delivery
 // event, in the paper's vocabulary.
@@ -421,24 +415,4 @@ func centerName(c *Node) string {
 		return "(unrecorded)"
 	}
 	return c.String()
-}
-
-// sortTraceCanonical orders events by (Round, Kind, Node, stable record
-// order) — the canonical order consumers should use when comparing traces
-// from the concurrent engine, whose within-round protocol-event
-// interleaving is scheduler-dependent.
-func sortTraceCanonical(events []TraceEvent) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Node.Y != b.Node.Y {
-			return a.Node.Y < b.Node.Y
-		}
-		return a.Node.X < b.Node.X
-	})
 }
